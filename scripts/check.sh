@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: configure, build, run the test suite, re-run the
+# Full verification: configure, build, run the test suite and the
+# rfidbench smoke test, re-run the
 # guardrail/fault-injection/vectorized/WAL/fragment-cache suites under
 # ASan+UBSan and the ingest/parallel/WAL-replay/server/fragment-cache
 # concurrency suites under TSan
@@ -36,6 +37,17 @@ export RFID_VERIFY_PLANS=1
 cmake -B build -G Ninja -DRFID_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
+
+# Benchmark smoke: rfidbench is its own CMake project (it pulls this
+# tree in as a subdirectory), so configure it into its own build
+# directory and run its short end-to-end test — every workload, the
+# in-process server ones included, checked against the naive rewrite.
+# rfidbench refuses to run with any RFID_* variable set (engine toggles
+# would make its numbers incomparable), so drop the verifier switch.
+cmake -S bench/rfidbench -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench --target rfidbench
+env -u RFID_VERIFY_PLANS \
+  ctest --test-dir build-bench -R rfidbench_smoke --output-on-failure
 
 # Concurrency-primitive lint: src/ must go through the annotated
 # wrappers in common/sync.h (the carriers of thread-safety annotations

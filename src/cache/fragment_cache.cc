@@ -135,8 +135,12 @@ RegionSchemePtr FragmentCache::SchemeFor(const Table& table,
   // watermark: the arrival history of the rows already in the table is
   // unknown, so a query pinned below it must not be served fragments
   // built above it (and vice versa). Seeding touched with the watermark
-  // makes both directions fail the validity check.
-  state->touched.assign(scheme->num_regions(), watermark);
+  // makes both directions fail the validity check. The seed is the
+  // highest watermark seen so far, not the caller's: batches notified
+  // before the scheme existed (OnIngest recorded only known_watermark)
+  // may lie above a caller pinned at an older snapshot, and their
+  // regions are unknown.
+  state->touched.assign(scheme->num_regions(), state->known_watermark);
   return scheme;
 }
 
@@ -209,9 +213,10 @@ void FragmentCache::OnIngest(const Table& table, const std::vector<Row>& rows,
   MutexLock lock(&mu_);
   if (!options_.enabled) return;
   const std::string table_lower = ToLower(table.name());
-  auto state_it = tables_.find(table_lower);
-  if (state_it == tables_.end()) return;  // nothing cached, nothing to do
-  TableState* state = &state_it->second;
+  // Record the watermark even before any scheme exists: SchemeFor seeds
+  // its touch marks from it, so a batch notified now stays invalidating
+  // for fragments built below it by queries pinned at older snapshots.
+  TableState* state = StateFor(table_lower);
   state->known_watermark = std::max(state->known_watermark, new_watermark);
   if (state->scheme == nullptr) return;
   const RegionScheme& scheme = *state->scheme;

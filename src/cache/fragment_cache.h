@@ -108,7 +108,8 @@ class FragmentCache {
 
   /// Returns (building it on first use) the region scheme for the table.
   /// `watermark` bounds the rows sampled for boundaries and seeds the
-  /// table's known watermark. One scheme per table: a request with a
+  /// table's known watermark; every region starts touched at the higher
+  /// of it and any watermark already notified. One scheme per table: a request with a
   /// different ckey than the existing scheme's returns nullptr (callers
   /// fall back to uncached cleansing). Nullptr while disabled.
   RegionSchemePtr SchemeFor(const Table& table, std::string_view ckey,

@@ -149,12 +149,11 @@ Status ParallelRun(int dop, const std::function<Status(int)>& fn) {
     pool->Submit([&, w]() {
       Status st = fn(w);
       statuses[static_cast<size_t>(w)] = std::move(st);
-      bool last;
-      {
-        MutexLock lock(&mu);
-        last = (--remaining == 0);
-      }
-      if (last) done_cv.NotifyOne();
+      // Notify while still holding mu: once the coordinator can observe
+      // remaining == 0 it returns and destroys mu and done_cv, so an
+      // unlocked notify would race that destruction.
+      MutexLock lock(&mu);
+      if (--remaining == 0) done_cv.NotifyOne();
     });
   }
   statuses[0] = fn(0);

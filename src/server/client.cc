@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,6 +35,11 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
     ::close(fd);
     return st;
   }
+  // Requests are single writes (WriteFrame); never let Nagle hold one
+  // back waiting on the server's delayed ACK. Best effort, as on the
+  // server side.
+  int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   std::unique_ptr<Client> client(new Client(fd));
   std::string hello;
   PutU32(&hello, kProtocolVersion);

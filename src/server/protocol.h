@@ -121,13 +121,17 @@ Status DecodeErrorPayload(std::string_view payload);
 
 // --- framed socket I/O ---
 
-/// Writes one frame; handles partial writes and EINTR. Returns an error
-/// when the peer is gone.
+/// Writes one frame as a single gathered write (header and payload in
+/// one sendmsg, so Nagle never holds a payload back behind its own
+/// header); handles partial writes and EINTR. Returns an error when the
+/// peer is gone.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 
 /// Reads one frame; handles partial reads and EINTR. A clean EOF before
 /// any header byte yields kNotFound("connection closed") so callers can
-/// tell an orderly hangup from a protocol error.
+/// tell an orderly hangup from a protocol error. The payload buffer grows
+/// in chunks of at most 1 MiB as bytes arrive, never to the announced
+/// length up front.
 Status ReadFrame(int fd, FrameType* type, std::string* payload);
 
 }  // namespace rfid::server

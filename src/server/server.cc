@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -315,6 +316,11 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Responses are single writes (WriteFrame); never let Nagle hold one
+    // back waiting on the client's delayed ACK. Best effort: a socket
+    // that refuses the option still works, only slower.
+    int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (refusing_.load(std::memory_order_acquire)) {
       SendError(fd, Status::Cancelled("server shutting down"));
       ::close(fd);
@@ -485,6 +491,16 @@ bool Server::DispatchFrame(Session& session, FrameType type,
           "unexpected %s frame", FrameTypeName(type))));
       return true;
   }
+}
+
+Status Server::EnsureFeedStream() {
+  if (stream_ != nullptr && !stream_->exhausted()) return Status::OK();
+  rfidgen::StreamOptions opt;
+  opt.seed = 20060912 + feed_generation_++;
+  auto stream = rfidgen::ReadStream::Create(&db_, opt);
+  if (!stream.ok()) return stream.status();
+  stream_ = std::move(*stream);
+  return Status::OK();
 }
 
 uint64_t Server::stats_version() const {
@@ -733,20 +749,22 @@ Result<std::string> Server::HandleCommand(Session& session,
     if (batches <= 0 || rows <= 0) {
       return Status::InvalidArgument("usage: .feed <batches> <rows_per_batch>");
     }
+    // feed_mu_ serializes feeds and owns the stream; .wal / .recover take
+    // it too, so nothing resets the stream or the pipeline while a feed
+    // runs. Batches apply under the *shared* state lock, beside queries
+    // (also shared); the pipeline's own writer lock orders each Apply
+    // against snapshot pins. The exclusive lock is taken only to create
+    // the pipeline (pointer swap) or the first stream (it adds the
+    // RFIDGen tables to the catalog).
     MutexLock feed_lock(&feed_mu_);
+    bool create;
     {
-      // Lazy creation mutates the catalog (stream tables) and swaps the
-      // pipeline pointer: exclusive. Batch application below runs on the
-      // pipeline's own writer lock, concurrent with snapshot-pinned
-      // queries.
+      ReaderLock state_lock(&state_mu_);
+      create = pipeline_ == nullptr || db_.GetTable("caseR") == nullptr;
+    }
+    if (create) {
       WriterLock state_lock(&state_mu_);
-      if (stream_ == nullptr || stream_->exhausted()) {
-        rfidgen::StreamOptions opt;
-        opt.seed = 20060912 + feed_generation_++;
-        auto stream = rfidgen::ReadStream::Create(&db_, opt);
-        if (!stream.ok()) return stream.status();
-        stream_ = std::move(*stream);
-      }
+      RFID_RETURN_IF_ERROR(EnsureFeedStream());
       if (pipeline_ == nullptr) {
         pipeline_ = std::make_unique<ingest::IngestPipeline>(
             &db_, /*accounting=*/nullptr, /*index_compact_threshold=*/8,
@@ -754,13 +772,8 @@ Result<std::string> Server::HandleCommand(Session& session,
         pipeline_->set_fragment_cache(&fragment_cache_);
       }
     }
-    // Shared lock during application: queries run concurrently (both
-    // sides hold shared), while .wal / .recover (exclusive) cannot swap
-    // the pipeline out from under the feed.
     ReaderLock state_lock(&state_mu_);
-    if (stream_ == nullptr || pipeline_ == nullptr) {
-      return Status::Internal("ingest state changed during .feed");
-    }
+    RFID_RETURN_IF_ERROR(EnsureFeedStream());
     uint64_t applied = 0;
     uint64_t fed_rows = 0;
     for (int64_t i = 0; i < batches && !stream_->exhausted(); ++i) {
@@ -819,6 +832,9 @@ Result<std::string> Server::HandleCommand(Session& session,
       return Status::InvalidArgument(
           StrFormat("usage: %s <directory> [always|epoch|off]", cmd.c_str()));
     }
+    // feed_mu_ first: an in-flight .feed finishes before the stream and
+    // pipeline it uses are reset.
+    MutexLock feed_lock(&feed_mu_);
     WriterLock state_lock(&state_mu_);
     auto manager = wal::WalManager::Open(dir, &db_, options);
     if (!manager.ok()) return manager.status();

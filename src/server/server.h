@@ -20,9 +20,11 @@
 // Locking: queries and read-only commands take `state_mu_` shared;
 // catalog-mutating commands (.gen, .load, .wal, .recover, .checkpoint)
 // take it exclusive, so they wait for in-flight queries and vice versa.
-// Streaming ingest (.feed) only needs the exclusive lock to lazily
-// create the stream and pipeline — batch application runs against the
-// pipeline's own writer lock while queries read pinned snapshots.
+// Streaming ingest (.feed) takes it shared: batch application runs
+// against the pipeline's own writer lock while queries read pinned
+// snapshots. .feed goes exclusive only to create the pipeline (first
+// feed, or after .wal / .recover reset it) or the first stream, which
+// adds the RFIDGen tables to the catalog; later passes stay shared.
 //
 // Graceful shutdown (SIGINT / SIGTERM via InstallSignalHandlers, or
 // Shutdown() directly): the signal handler only sets a flag and writes
@@ -153,6 +155,11 @@ class Server {
   Result<std::string> HandleCommand(Session& session, const std::string& line);
 
   uint64_t stats_version() const REQUIRES_SHARED(state_mu_);
+  /// Starts .feed's next generator pass when there is none or the
+  /// current one is exhausted. The first pass adds the RFIDGen tables to
+  /// the catalog, so it needs state_mu_ exclusive; once they exist a pass
+  /// only reads the catalog and shared suffices.
+  Status EnsureFeedStream() REQUIRES(feed_mu_) REQUIRES_SHARED(state_mu_);
 
   ServerOptions options_;
   int port_ = 0;
@@ -169,17 +176,20 @@ class Server {
   /// .recover); part of every plan-cache entry's version pair.
   std::atomic<uint64_t> data_version_{0};
 
+  /// Serializes .feed and owns its generator stream. .wal / .recover
+  /// take it before state_mu_, so a feed never sees the stream or the
+  /// pipeline reset under it.
+  Mutex feed_mu_{LockRank::kServerFeed};
+  std::unique_ptr<rfidgen::ReadStream> stream_ GUARDED_BY(feed_mu_);
+  uint64_t feed_generation_ GUARDED_BY(feed_mu_) = 0;
+
   /// Shared: queries and read-only commands. Exclusive: commands that
   /// mutate the catalog or swap the pipeline / WAL. Guards the *pointers*
   /// below: a shared holder may call through them (the pipeline has its
-  /// own writer lock; the stream is serialized by feed_mu_), it just
-  /// cannot observe them being swapped.
+  /// own writer lock), it just cannot observe them being swapped.
   mutable SharedMutex state_mu_{LockRank::kServerState};
-  std::unique_ptr<rfidgen::ReadStream> stream_ GUARDED_BY(state_mu_);
   std::unique_ptr<ingest::IngestPipeline> pipeline_ GUARDED_BY(state_mu_);
   std::unique_ptr<wal::WalManager> wal_ GUARDED_BY(state_mu_);
-  uint64_t feed_generation_ GUARDED_BY(state_mu_) = 0;
-  Mutex feed_mu_{LockRank::kServerFeed};  // serializes .feed application
 
   Mutex inflight_mu_{LockRank::kServerInflight};
   std::set<ExecContext*> inflight_ GUARDED_BY(inflight_mu_);

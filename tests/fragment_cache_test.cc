@@ -279,6 +279,24 @@ TEST_F(FragmentCacheValidityTest, UnnotifiedAdvanceIsAbsorbedConservatively) {
   EXPECT_EQ(cache.Lookup(key, w0_ + 100), nullptr);
 }
 
+TEST_F(FragmentCacheValidityTest, IngestNotifiedBeforeTheSchemeIsNotLost) {
+  // The writer notifies a batch before any query has built the table's
+  // scheme, then a query pinned at the older snapshot builds it and
+  // publishes a fragment without the batch's row. A later batch that
+  // touches no region must not make that fragment valid for snapshots
+  // that can see the row.
+  FragmentCache cache;
+  Row row = caseR_->row(0);
+  cache.OnIngest(*caseR_, {row}, w0_ + 1);
+  RegionSchemePtr scheme = cache.SchemeFor(*caseR_, "epc", w0_);
+  ASSERT_NE(scheme, nullptr);
+  FragmentKey key = KeyFor(scheme, scheme->RegionOf(row[scheme->ckey_slot]));
+  cache.Insert(key, w0_, SomeRows());
+  cache.OnIngest(*caseR_, {}, w0_ + 2);
+  EXPECT_EQ(cache.Lookup(key, w0_ + 2), nullptr);
+  EXPECT_EQ(cache.Lookup(key, w0_ + 1), nullptr);
+}
+
 TEST_F(FragmentCacheValidityTest, LruEvictsByResidentBytes) {
   FragmentCacheOptions opt;
   opt.target_region_rows = 512;

@@ -7,6 +7,7 @@
 // serially, releasing all accounted memory on unwind.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,24 @@ TEST_F(ParallelExecTest, CancellationTripsMidParallelPipeline) {
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(ctx.memory_used(), 0u);
+}
+
+// Regression: the last worker used to notify ParallelRun's stack-local
+// completion CondVar after releasing its mutex, so the coordinator could
+// see the count reach zero, return, and destroy the CondVar while the
+// notify was still running. Thousands of tiny calls keep that window
+// hot; the TSan pass reports any recurrence as a race.
+TEST(ParallelRunTest, ThousandsOfTinyCallsCompleteCleanly) {
+  constexpr int kCalls = 5000;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < kCalls; ++i) {
+    Status st = ParallelRun(4, [&](int) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(ran.load(), 4 * kCalls);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Concurrency tests for the SQL server front end: many client threads
 // with divergent rewrite strategies against a live-ingesting server,
 // snapshot-pinned repeatable reads, plan-cache sharing across sessions,
-// and shutdown under load. Run under TSan in check.sh.
+// .feed racing .wal, and shutdown under load. Run under TSan in check.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +156,61 @@ TEST(ServerConcurrencyTest, HeldSnapshotGivesRepeatableReadsUnderIngest) {
   ASSERT_TRUE(after.ok());
   EXPECT_GT(after->rows[0][0].int64_value(), before->rows[0][0].int64_value());
   server->Shutdown();
+}
+
+// .wal resets the stream and pipeline that .feed uses. A feed racing a
+// stream of .wal commands must never fail (the old code answered
+// Internal("ingest state changed during .feed") when a .wal slipped in
+// between creating them and applying batches).
+TEST(ServerConcurrencyTest, FeedRacingWalNeverFailsInternally) {
+  const std::string dir = ::testing::TempDir() + "/server_feed_wal_race";
+  std::filesystem::remove_all(dir);
+  auto srv = Server::Start(ServerOptions{});
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  Server* server = srv->get();
+  auto feeder = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(feeder.ok());
+  ASSERT_TRUE((*feeder)->Command(".feed 1 32").ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> feeds_ok{0};
+  std::thread feed_thread([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      auto fed = (*feeder)->Command(".feed 1 16");
+      if (!fed.ok()) {
+        ADD_FAILURE() << fed.status().ToString();
+        return;
+      }
+      ++feeds_ok;
+    }
+  });
+  // Several sessions attach WALs back to back, so a .wal is nearly
+  // always queued when a feed starts or finishes.
+  constexpr int kAdmins = 3;
+  constexpr int kSwapsEach = 8;
+  std::vector<std::thread> admins;
+  for (int a = 0; a < kAdmins; ++a) {
+    admins.emplace_back([&, a] {
+      auto admin = Client::Connect("127.0.0.1", server->port());
+      ASSERT_TRUE(admin.ok()) << admin.status().ToString();
+      for (int i = 0; i < kSwapsEach; ++i) {
+        const std::string sub = std::to_string(a) + "-" + std::to_string(i);
+        auto attached = (*admin)->Command(".wal " + dir + "/" + sub + " off");
+        EXPECT_TRUE(attached.ok()) << attached.status().ToString();
+      }
+    });
+  }
+  for (auto& t : admins) t.join();
+  stop.store(true, std::memory_order_release);
+  feed_thread.join();
+  EXPECT_GT(feeds_ok.load(), 0);
+
+  // Quiesced: feeding still works on whatever state the last .wal left.
+  auto fed = (*feeder)->Command(".feed 1 16");
+  EXPECT_TRUE(fed.ok()) << fed.status().ToString();
+  server->Shutdown();
+  EXPECT_TRUE(server->final_flush_status().ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerConcurrencyTest, PlanCacheSharedAcrossIdenticalCatalogs) {

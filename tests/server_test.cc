@@ -1,12 +1,18 @@
 // SQL server front end: wire-protocol round-trips, remote execution
 // bit-identical to embedded, session-local rule catalogs, the
 // prepared-statement plan cache (hit / miss / invalidation), structured
-// admission-control rejections, protocol-level error fidelity, and
-// graceful shutdown.
+// admission-control rejections, protocol-level error fidelity,
+// framed socket I/O (partial writes, hostile length prefixes, no
+// delayed-ACK stalls), and graceful shutdown.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -104,6 +110,95 @@ TEST(ProtocolTest, TruncatedPayloadFailsCleanly) {
   }
 }
 
+// --- framed socket I/O over a socketpair ---
+
+std::atomic<int> g_write_interrupts{0};
+void CountWriteInterrupt(int /*signo*/) {
+  g_write_interrupts.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Writes one frame on this thread while a reader thread reads it. A
+// blocking Linux socket completes even an 8 MiB sendmsg in one call, so
+// a third thread keeps signalling the writer (handler installed without
+// SA_RESTART): an interrupted sendmsg that already moved bytes returns
+// the partial count, one that had not returns EINTR. Both retry paths of
+// WriteFrame run.
+void ExpectFrameRoundTrip(size_t n) {
+  SCOPED_TRACE(n);
+  struct sigaction sa {};
+  sa.sa_handler = CountWriteInterrupt;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, nullptr), 0);
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::string payload(n, '\0');
+  for (size_t i = 0; i < n; ++i) payload[i] = static_cast<char>(i * 131 + 7);
+
+  server::FrameType got_type = server::FrameType::kHello;
+  std::string got;
+  Status read_status;
+  std::thread reader(
+      [&] { read_status = server::ReadFrame(sv[1], &got_type, &got); });
+  std::atomic<bool> written{false};
+  const pthread_t writer = ::pthread_self();
+  g_write_interrupts.store(0);
+  std::thread interrupter([&] {
+    while (!written.load(std::memory_order_acquire)) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  Status write_status = server::WriteFrame(sv[0], server::FrameType::kRows,
+                                           payload);
+  written.store(true, std::memory_order_release);
+  interrupter.join();
+  reader.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  // The counting handler stays installed: a signal still in flight must
+  // not meet SIGUSR1's default (terminating) action.
+
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  ASSERT_TRUE(read_status.ok()) << read_status.ToString();
+  EXPECT_EQ(got_type, server::FrameType::kRows);
+  EXPECT_EQ(got.size(), n);
+  EXPECT_TRUE(got == payload) << "payload bytes differ";
+}
+
+TEST(ProtocolTest, FramesRoundTripOverSocketpair) {
+  ExpectFrameRoundTrip(0);
+  ExpectFrameRoundTrip(1);
+  ExpectFrameRoundTrip(size_t{8} << 20);  // far beyond the socket buffer
+  EXPECT_GT(g_write_interrupts.load(), 0) << "the 8 MiB write was never "
+                                             "interrupted";
+}
+
+TEST(ProtocolTest, ReadFrameAllocatesOnlyWhatArrives) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // Announce the largest legal frame, send 10 bytes of it, hang up.
+  std::string wire;
+  server::PutU32(&wire, server::kMaxFrameBytes);
+  server::PutU8(&wire, static_cast<uint8_t>(server::FrameType::kQuery));
+  wire.append(10, 'x');
+  ASSERT_EQ(::write(sv[0], wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  ::close(sv[0]);
+
+  server::FrameType type;
+  std::string payload;
+  Status st = server::ReadFrame(sv[1], &type, &payload);
+  ::close(sv[1]);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  EXPECT_NE(st.message().find("mid-frame"), std::string::npos)
+      << st.ToString();
+  // One read chunk at most, not the announced 64 MiB.
+  EXPECT_LE(payload.capacity(), size_t{2} << 20);
+}
+
 // --- live server fixture ---
 
 class ServerTest : public ::testing::Test {
@@ -145,6 +240,26 @@ TEST_F(ServerTest, HandshakeGivesDistinctSessions) {
   EXPECT_EQ(server_->active_sessions(), 2);
   EXPECT_TRUE(a->Quit().ok());
   EXPECT_TRUE(b->Quit().ok());
+}
+
+// Two writes per frame on a socket without TCP_NODELAY stalled every
+// round trip ~40 ms on the peer's delayed ACK. Linux ACKs promptly for
+// the first few exchanges of a connection, so 50 round trips get past
+// that window; stalled, they take ~2 s.
+TEST_F(ServerTest, RoundTripsDoNotStallOnDelayedAcks) {
+  StartServer();
+  auto client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    auto res = client->Command(".rules");
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 50 round trips";
+  EXPECT_TRUE(client->Quit().ok());
 }
 
 TEST_F(ServerTest, SessionLimitRefusesWithResourceExhausted) {
