@@ -2,7 +2,9 @@
 // style cleansing query (q1, 10% rtime selectivity, first three rules)
 // under each rewrite strategy at DOP 1/2/4/8, verifies every parallel run
 // is bit-identical to the serial plan (exact row order and values), and
-// reports p50/p95 latency plus speedup versus DOP 1.
+// reports p50/p95 latency plus speedup versus DOP 1. Only the table scan
+// runs in parallel; the sorts, windows and joins above it are serial at
+// every DOP, so the sweep measures the scan alone.
 //
 // Hand-rolled main (not google-benchmark): the sweep must flip the
 // process-wide ParallelPolicy between measurements and compare result

@@ -109,12 +109,14 @@ if [ "$QUICK" -eq 0 ]; then
   # Sanitizer pass: the fault-injection sweeps fail at every injection
   # point; ASan+UBSan turns any leak or UB on those unwind paths into a
   # hard failure. Batching is ON by default, so the batch pipelines'
-  # unwind paths and the bytecode kernels are swept too.
+  # unwind paths and the bytecode kernels are swept too. parallel_exec_test
+  # leak-checks the unwind of a guardrail-tripped morsel-parallel scan.
   cmake -B build-asan -G Ninja -DRFID_SANITIZE=ON
   cmake --build build-asan --target fault_injection_test guardrails_test \
     exec_test common_test ingest_fault_test expr_golden_test \
     vectorized_exec_test verify_test wal_test wal_recovery_test \
-    fragment_cache_test server_test columnar_test sync_test
+    fragment_cache_test server_test columnar_test sync_test \
+    parallel_exec_test
   ./build-asan/tests/sync_test
   ./build-asan/tests/verify_test
   ./build-asan/tests/columnar_test
@@ -129,6 +131,7 @@ if [ "$QUICK" -eq 0 ]; then
   ./build-asan/tests/wal_recovery_test
   ./build-asan/tests/fragment_cache_test
   ./build-asan/tests/server_test
+  ./build-asan/tests/parallel_exec_test
 
   # UBSan-alone pass (-fno-sanitize-recover=all, no ASan interposition):
   # any undefined behavior in the planner, rewriter, bytecode kernels, or
@@ -148,7 +151,7 @@ if [ "$QUICK" -eq 0 ]; then
   ./build-ubsan/tests/fault_injection_test
 
   # TSan pass: queries pin epoch snapshots while an IngestDriver publishes
-  # new ones, and morsel-driven parallel operators fan work out to pool
+  # new ones, and the morsel-driven parallel scan fans work out to pool
   # threads (including while that writer runs); ThreadSanitizer proves the
   # publish/pin protocol and the parallel pipeline's atomics are proper
   # happens-before edges, not benign-looking races. vectorized_exec_test

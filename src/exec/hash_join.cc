@@ -1,9 +1,5 @@
 #include "exec/hash_join.h"
 
-#include <algorithm>
-
-#include "exec/parallel.h"
-
 namespace rfid {
 
 namespace {
@@ -12,10 +8,6 @@ RowDesc JoinOutputDesc(const Operator& probe, const Operator& build,
   if (type == JoinType::kLeftSemi) return probe.output_desc();
   return RowDesc::Concat(probe.output_desc(), build.output_desc());
 }
-
-// Probe rows per cancellation check / output-charge flush on the
-// parallel probe path.
-constexpr size_t kProbeTickRows = 1024;
 }  // namespace
 
 bool HashJoinOp::HasNullKey(const Row& row, const std::vector<size_t>& slots) {
@@ -27,171 +19,51 @@ bool HashJoinOp::HasNullKey(const Row& row, const std::vector<size_t>& slots) {
 
 HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build,
                        std::vector<size_t> probe_key_slots,
-                       std::vector<size_t> build_key_slots, JoinType type,
-                       int dop)
+                       std::vector<size_t> build_key_slots, JoinType type)
     : Operator(JoinOutputDesc(*probe, *build, type)),
       probe_(std::move(probe)),
       build_(std::move(build)),
       probe_key_slots_(std::move(probe_key_slots)),
       build_key_slots_(std::move(build_key_slots)),
-      type_(type) {
-  set_dop(dop);
-}
+      type_(type) {}
 
 // Rough per-entry bookkeeping overhead of the build hash table (bucket
 // array slot, node header, key vector) on top of the row payload.
 constexpr uint64_t kHashEntryOverheadBytes = 64;
 
-Status HashJoinOp::BuildTables() {
+Status HashJoinOp::BuildTable() {
   std::vector<Row> build_rows;
   RFID_RETURN_IF_ERROR(DrainChildAccounted(build_.get(), &build_rows));
-
-  const size_t parts = tables_.size();
-  if (parts == 1) {
-    for (Row& r : build_rows) {
-      if (HasNullKey(r, build_key_slots_)) continue;
-      auto it = tables_[0].find(RowKeyView{&r, &build_key_slots_});
-      if (it == tables_[0].end()) {
-        std::vector<Value> key;
-        key.reserve(build_key_slots_.size());
-        for (size_t s : build_key_slots_) key.push_back(r[s]);
-        it = tables_[0].emplace(std::move(key), std::vector<Row>()).first;
-      }
-      std::vector<Row>& bucket = it->second;
-      if (type_ == JoinType::kLeftSemi && !bucket.empty()) continue;
-      RFID_RETURN_IF_ERROR(ChargeMemory(kHashEntryOverheadBytes));
-      bucket.push_back(std::move(r));
+  for (Row& r : build_rows) {
+    if (HasNullKey(r, build_key_slots_)) continue;
+    auto it = table_.find(RowKeyView{&r, &build_key_slots_});
+    if (it == table_.end()) {
+      std::vector<Value> key;
+      key.reserve(build_key_slots_.size());
+      for (size_t s : build_key_slots_) key.push_back(r[s]);
+      it = table_.emplace(std::move(key), std::vector<Row>()).first;
     }
-    return Status::OK();
+    std::vector<Row>& bucket = it->second;
+    if (type_ == JoinType::kLeftSemi && !bucket.empty()) continue;
+    RFID_RETURN_IF_ERROR(ChargeMemory(kHashEntryOverheadBytes));
+    bucket.push_back(std::move(r));
   }
-
-  // Split rows by key-hash partition (order-preserving within each
-  // partition), then build the partitions' tables in parallel. All rows
-  // of one key share a partition, so per-bucket order — which fixes
-  // inner-join match emission order and left-semi "first row wins" — is
-  // the same as the serial single-table build.
-  std::vector<std::vector<uint32_t>> part_rows(parts);
-  {
-    RowHash hasher;
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      if (HasNullKey(build_rows[i], build_key_slots_)) continue;
-      part_rows[hasher(RowKeyView{&build_rows[i], &build_key_slots_}) % parts]
-          .push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return ParallelRun(
-      static_cast<int>(parts),
-      [this, &part_rows, &build_rows](int w) -> Status {
-        RFID_RETURN_IF_ERROR(TickCancel());
-        HashTable& table = tables_[static_cast<size_t>(w)];
-        uint64_t bytes = 0;
-        for (uint32_t i : part_rows[static_cast<size_t>(w)]) {
-          Row& r = build_rows[i];
-          auto it = table.find(RowKeyView{&r, &build_key_slots_});
-          if (it == table.end()) {
-            std::vector<Value> key;
-            key.reserve(build_key_slots_.size());
-            for (size_t s : build_key_slots_) key.push_back(r[s]);
-            it = table.emplace(std::move(key), std::vector<Row>()).first;
-          }
-          std::vector<Row>& bucket = it->second;
-          if (type_ == JoinType::kLeftSemi && !bucket.empty()) continue;
-          bytes += kHashEntryOverheadBytes;
-          bucket.push_back(std::move(r));
-        }
-        return ChargeMemory(bytes);
-      });
-}
-
-Status HashJoinOp::ParallelProbe() {
-  std::vector<Row> probe_rows;
-  RFID_RETURN_IF_ERROR(DrainChildAccounted(probe_.get(), &probe_rows));
-
-  const size_t n = probe_rows.size();
-  const size_t workers = static_cast<size_t>(dop());
-  const size_t chunk = (n + workers - 1) / workers;
-  const size_t parts = tables_.size();
-  out_chunks_.assign(workers, {});
-  return ParallelRun(
-      static_cast<int>(workers),
-      [this, &probe_rows, n, chunk, parts](int w) -> Status {
-        size_t begin = static_cast<size_t>(w) * chunk;
-        if (begin >= n) return Status::OK();
-        size_t end = std::min(n, begin + chunk);
-        std::vector<Row>& out = out_chunks_[static_cast<size_t>(w)];
-        RowHash hasher;
-        uint64_t pending_bytes = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if ((i - begin) % kProbeTickRows == 0) {
-            RFID_RETURN_IF_ERROR(TickCancel());
-            if (pending_bytes > 0) {
-              RFID_RETURN_IF_ERROR(ChargeMemory(pending_bytes));
-              pending_bytes = 0;
-            }
-          }
-          Row& probe_row = probe_rows[i];
-          if (HasNullKey(probe_row, probe_key_slots_)) continue;
-          RowKeyView view{&probe_row, &probe_key_slots_};
-          const HashTable& table = tables_[hasher(view) % parts];
-          auto it = table.find(view);
-          if (it == table.end()) continue;
-          if (type_ == JoinType::kLeftSemi) {
-            pending_bytes += ApproxRowBytes(probe_row);
-            out.push_back(std::move(probe_row));
-            continue;
-          }
-          const std::vector<Row>& matches = it->second;
-          for (size_t m = 0; m < matches.size(); ++m) {
-            Row joined;
-            if (m + 1 == matches.size()) {
-              joined = std::move(probe_row);  // last match owns the probe row
-            } else {
-              joined = probe_row;
-            }
-            const Row& build_row = matches[m];
-            joined.insert(joined.end(), build_row.begin(), build_row.end());
-            pending_bytes += ApproxRowBytes(joined);
-            out.push_back(std::move(joined));
-          }
-        }
-        return pending_bytes > 0 ? ChargeMemory(pending_bytes) : Status::OK();
-      });
+  return Status::OK();
 }
 
 Status HashJoinOp::OpenImpl() {
-  tables_.clear();
-  out_chunks_.clear();
+  table_.clear();
   current_matches_ = nullptr;
   match_pos_ = 0;
-  chunk_idx_ = 0;
-  chunk_pos_ = 0;
   probe_row_ = 0;
   cur_row_ = 0;
   probe_done_ = false;
   probe_bytes_ = 0;
-  materialized_ = dop() > 1;
-  tables_.resize(materialized_ ? static_cast<size_t>(dop()) : 1);
-  RFID_RETURN_IF_ERROR(BuildTables());
-  if (materialized_) return ParallelProbe();
+  RFID_RETURN_IF_ERROR(BuildTable());
   return probe_->Open();
 }
 
 Result<bool> HashJoinOp::NextImpl(Row* row) {
-  if (materialized_) {
-    while (chunk_idx_ < out_chunks_.size()) {
-      std::vector<Row>& out = out_chunks_[chunk_idx_];
-      if (chunk_pos_ < out.size()) {
-        *row = std::move(out[chunk_pos_++]);
-        ++rows_produced_;
-        return true;
-      }
-      out.clear();
-      out.shrink_to_fit();
-      ++chunk_idx_;
-      chunk_pos_ = 0;
-    }
-    return false;
-  }
   while (true) {
     if (current_matches_ != nullptr && match_pos_ < current_matches_->size()) {
       const Row& build_row = (*current_matches_)[match_pos_++];
@@ -208,8 +80,8 @@ Result<bool> HashJoinOp::NextImpl(Row* row) {
     RFID_ASSIGN_OR_RETURN(bool has, probe_->Next(&current_probe_));
     if (!has) return false;
     if (HasNullKey(current_probe_, probe_key_slots_)) continue;
-    auto it = tables_[0].find(RowKeyView{&current_probe_, &probe_key_slots_});
-    if (it == tables_[0].end()) continue;
+    auto it = table_.find(RowKeyView{&current_probe_, &probe_key_slots_});
+    if (it == table_.end()) continue;
     if (type_ == JoinType::kLeftSemi) {
       *row = std::move(current_probe_);
       ++rows_produced_;
@@ -221,7 +93,6 @@ Result<bool> HashJoinOp::NextImpl(Row* row) {
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
-  if (materialized_) return Operator::NextBatchImpl(batch);
   const size_t probe_width = probe_->output_desc().num_fields();
   while (!batch->full()) {
     if (current_matches_ != nullptr) {
@@ -262,8 +133,8 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
       }
     }
     if (null_key) continue;
-    auto it = tables_[0].find(BatchKeyView{&probe_batch_, r, &probe_key_slots_});
-    if (it == tables_[0].end()) continue;
+    auto it = table_.find(BatchKeyView{&probe_batch_, r, &probe_key_slots_});
+    if (it == table_.end()) continue;
     if (type_ == JoinType::kLeftSemi) {
       batch->AppendGathered(probe_batch_, r);
       continue;
@@ -278,9 +149,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
 
 void HashJoinOp::CloseImpl() {
   current_matches_ = nullptr;
-  tables_.clear();
-  out_chunks_.clear();
-  out_chunks_.shrink_to_fit();
+  table_.clear();
   probe_batch_.ResetColumns(0);
   probe_->Close();
   build_->Close();

@@ -18,20 +18,11 @@ enum class JoinType {
 
 /// Output row layout: probe fields followed by build fields (kInner), or
 /// probe fields only (kLeftSemi).
-///
-/// With dop > 1 the join runs partitioned: build rows are split by key
-/// hash into dop partitions whose hash tables are built in parallel (one
-/// worker per partition, insertion order within a partition preserved),
-/// and the probe side is materialized, cut into contiguous chunks, and
-/// probed in parallel into per-chunk output buffers streamed in chunk
-/// order. All rows of a key land in one partition and per-bucket order
-/// matches build-input order, so match emission order — and therefore the
-/// full output — is bit-identical to the serial streaming join.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, OperatorPtr build,
              std::vector<size_t> probe_key_slots,
-             std::vector<size_t> build_key_slots, JoinType type, int dop = 1);
+             std::vector<size_t> build_key_slots, JoinType type);
 
   std::string name() const override {
     return type_ == JoinType::kInner ? "HashJoin" : "HashSemiJoin";
@@ -62,8 +53,7 @@ class HashJoinOp : public Operator {
   // starts a new bucket.
   static bool HasNullKey(const Row& row, const std::vector<size_t>& slots);
 
-  Status BuildTables();
-  Status ParallelProbe();
+  Status BuildTable();
 
   OperatorPtr probe_;
   OperatorPtr build_;
@@ -71,20 +61,13 @@ class HashJoinOp : public Operator {
   std::vector<size_t> build_key_slots_;
   JoinType type_;
 
-  // Partitioned by RowHash(key) % tables_.size(); one partition when
-  // serial.
-  std::vector<HashTable> tables_;
-  // Iteration state for multi-match inner joins (serial streaming path).
+  HashTable table_;
+  // Iteration state for multi-match inner joins.
   Row current_probe_;
   const std::vector<Row>* current_matches_ = nullptr;
   size_t match_pos_ = 0;
-  // Parallel path: pre-probed output, streamed in chunk order.
-  bool materialized_ = false;
-  std::vector<std::vector<Row>> out_chunks_;
-  size_t chunk_idx_ = 0;
-  size_t chunk_pos_ = 0;
-  // Serial batch-probe state: the current probe batch, the cursor into
-  // it, and the row whose matches are being emitted.
+  // Batch-probe state: the current probe batch, the cursor into it, and
+  // the row whose matches are being emitted.
   RowBatch probe_batch_;
   size_t probe_row_ = 0;
   size_t cur_row_ = 0;

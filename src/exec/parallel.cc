@@ -31,8 +31,7 @@ int EnvInt(const char* name, int fallback) {
 ParallelPolicy DefaultPolicy() {
   ParallelPolicy p;
   p.max_dop = std::min(kMaxPoolThreads, EnvInt("RFID_MAX_DOP", HardwareDop()));
-  p.min_parallel_rows = static_cast<uint64_t>(EnvInt(
-      "RFID_PARALLEL_MIN_ROWS", static_cast<int>(kDefaultMinParallelRows)));
+  p.min_parallel_rows = kDefaultMinParallelRows;
   return p;
 }
 
@@ -109,10 +108,6 @@ void SetParallelPolicyForTest(int max_dop, uint64_t min_parallel_rows) {
 }
 
 int ChooseDop(double estimated_rows) {
-#ifdef RFID_PARALLEL_OFF
-  (void)estimated_rows;
-  return 1;
-#else
   // A thread-local injector means a deterministic fail-at-step sweep is
   // running; parallel workers carry no injector, so going parallel would
   // silently change which steps the sweep crosses. Stay serial.
@@ -129,7 +124,6 @@ int ChooseDop(double estimated_rows) {
                 ? p.max_dop
                 : std::max(1, static_cast<int>(workers));
   return dop;
-#endif
 }
 
 Status ParallelRun(int dop, const std::function<Status(int)>& fn) {

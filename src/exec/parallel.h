@@ -3,10 +3,11 @@
 // parallelism (DOP).
 //
 // Execution model (morsel-driven, in the spirit of HyPer's scheduler):
-// the query's coordinating thread runs the operator tree as usual; a
-// parallel operator's Open() fans work out to the pool with ParallelRun
-// and gathers results *in deterministic order* before streaming them to
-// its parent. Workers claim fixed-size morsels from a MorselQueue (an
+// the query's coordinating thread runs the operator tree as usual; the
+// one parallel operator, ParallelTableScanOp, fans work out to the pool
+// with ParallelRun and gathers results *in deterministic order* before
+// streaming them to its parent. Sorts, windows and joins always run
+// serially (DESIGN.md §8 records why). Workers claim fixed-size morsels from a MorselQueue (an
 // atomic cursor, so claiming is wait-free) and write results into
 // per-morsel slots, which makes the merged output independent of thread
 // scheduling: parallel plans are bit-identical to serial ones.
@@ -36,8 +37,8 @@
 namespace rfid {
 
 /// Planner policy for parallel execution, resolved once from the
-/// environment (RFID_MAX_DOP, RFID_PARALLEL_MIN_ROWS) and hardware
-/// concurrency; overridable for tests and DOP-sweep benchmarks.
+/// environment (RFID_MAX_DOP) and hardware concurrency; overridable for
+/// tests and DOP-sweep benchmarks.
 struct ParallelPolicy {
   int max_dop = 1;                  // upper bound on per-operator DOP
   uint64_t min_parallel_rows = 0;   // serial below this estimated row count
@@ -51,11 +52,11 @@ ParallelPolicy CurrentParallelPolicy();
 /// environment/hardware defaults.
 void SetParallelPolicyForTest(int max_dop, uint64_t min_parallel_rows);
 
-/// Degree of parallelism for an operator expected to process
-/// `estimated_rows` input rows: 1 below the policy threshold (and always
-/// 1 when RFID_PARALLEL is compiled off or a fault injector is installed
-/// on this thread), otherwise scaled so each worker gets a meaningful
-/// share of rows, capped at the policy's max_dop.
+/// Degree of parallelism for a table scan expected to read
+/// `estimated_rows` rows: 1 below the policy threshold (and always 1 when
+/// a fault injector is installed on this thread), otherwise scaled so
+/// each worker gets a meaningful share of rows, capped at the policy's
+/// max_dop.
 int ChooseDop(double estimated_rows);
 
 /// Runs fn(worker_id) for worker ids [0, dop): shard 0 on the calling

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel.h"
 
 namespace rfid {
 
@@ -22,70 +21,20 @@ int CompareRows(const Row& a, const Row& b, const std::vector<SlotSortKey>& keys
   return 0;
 }
 
-SortOp::SortOp(OperatorPtr child, std::vector<SlotSortKey> keys, int dop)
+SortOp::SortOp(OperatorPtr child, std::vector<SlotSortKey> keys)
     : Operator(child->output_desc()),
       child_(std::move(child)),
-      keys_(std::move(keys)) {
-  set_dop(dop);
-}
+      keys_(std::move(keys)) {}
 
 Status SortOp::OpenImpl() {
   pos_ = 0;
   rows_.clear();
   RFID_RETURN_IF_ERROR(DrainChildAccounted(child_.get(), &rows_));
   rows_sorted_ += rows_.size();
-  const size_t n = rows_.size();
-  const size_t workers = static_cast<size_t>(dop());
-  if (workers <= 1 || n < 2 * workers) {
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [this](const Row& a, const Row& b) {
-                       return CompareRows(a, b, keys_) < 0;
-                     });
-    return Status::OK();
-  }
-
-  // Per-worker runs: contiguous chunks, each stable-sorted in parallel.
-  const size_t chunk = (n + workers - 1) / workers;
-  RFID_RETURN_IF_ERROR(ParallelRun(
-      static_cast<int>(workers), [this, n, chunk](int w) -> Status {
-        size_t begin = static_cast<size_t>(w) * chunk;
-        if (begin >= n) return Status::OK();
-        RFID_RETURN_IF_ERROR(TickCancel());
-        size_t end = std::min(n, begin + chunk);
-        std::stable_sort(rows_.begin() + static_cast<ptrdiff_t>(begin),
-                         rows_.begin() + static_cast<ptrdiff_t>(end),
-                         [this](const Row& a, const Row& b) {
-                           return CompareRows(a, b, keys_) < 0;
-                         });
-        return Status::OK();
-      }));
-
-  // Merge the runs; ties resolve to the lower chunk index, which together
-  // with per-chunk stability reproduces a whole-input stable sort.
-  std::vector<size_t> head(workers), tail(workers);
-  size_t num_runs = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    size_t begin = w * chunk;
-    if (begin >= n) break;
-    head[num_runs] = begin;
-    tail[num_runs] = std::min(n, begin + chunk);
-    ++num_runs;
-  }
-  std::vector<Row> merged;
-  merged.reserve(n);
-  while (true) {
-    size_t best = num_runs;
-    for (size_t r = 0; r < num_runs; ++r) {
-      if (head[r] >= tail[r]) continue;
-      if (best == num_runs ||
-          CompareRows(rows_[head[r]], rows_[head[best]], keys_) < 0) {
-        best = r;
-      }
-    }
-    if (best == num_runs) break;
-    merged.push_back(std::move(rows_[head[best]++]));
-  }
-  rows_ = std::move(merged);
+  std::stable_sort(rows_.begin(), rows_.end(),
+                   [this](const Row& a, const Row& b) {
+                     return CompareRows(a, b, keys_) < 0;
+                   });
   return Status::OK();
 }
 

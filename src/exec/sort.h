@@ -15,14 +15,10 @@ struct SlotSortKey {
 /// Compares rows by the given keys; returns <0, 0, >0.
 int CompareRows(const Row& a, const Row& b, const std::vector<SlotSortKey>& keys);
 
-/// Blocking sort. With dop > 1 the input is split into contiguous
-/// chunks, each worker stable-sorts its chunk (per-worker runs), and the
-/// runs are merged with ties broken by chunk index — which reproduces
-/// std::stable_sort of the whole input exactly, so parallel sort output
-/// is bit-identical to serial.
+/// Blocking stable sort of the whole input.
 class SortOp : public Operator {
  public:
-  SortOp(OperatorPtr child, std::vector<SlotSortKey> keys, int dop = 1);
+  SortOp(OperatorPtr child, std::vector<SlotSortKey> keys);
 
   std::string name() const override { return "Sort"; }
   std::string detail() const override;

@@ -1,10 +1,8 @@
 #include "exec/window.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/string_util.h"
-#include "exec/parallel.h"
 #include "verify/bytecode_verifier.h"
 
 namespace rfid {
@@ -122,22 +120,20 @@ class FrameAggregator {
 
 WindowOp::WindowOp(OperatorPtr child, std::vector<size_t> partition_slots,
                    std::vector<SlotSortKey> order_keys,
-                   std::vector<WindowAggSpec> aggs, int dop)
+                   std::vector<WindowAggSpec> aggs)
     : Operator(ExtendedDesc(*child, aggs)),
       child_(std::move(child)),
       partition_slots_(std::move(partition_slots)),
       order_keys_(std::move(order_keys)),
-      aggs_(std::move(aggs)) {
-  set_dop(dop);
-}
+      aggs_(std::move(aggs)) {}
 
 Status WindowOp::OpenImpl() {
   pos_ = 0;
   rows_.clear();
   RFID_RETURN_IF_ERROR(DrainChildAccounted(child_.get(), &rows_));
 
-  // Compile each agg's argument once; workers share the immutable
-  // programs and fall back to the interpreter per agg on failure.
+  // Compile each agg's argument once; an agg whose compile falls back
+  // uses the interpreter.
   arg_progs_.clear();
   if (VectorizedEnabled()) {
     for (const WindowAggSpec& a : aggs_) {
@@ -152,12 +148,10 @@ Status WindowOp::OpenImpl() {
     }
   }
 
-  // Cut the (sorted) input at partition boundaries: groups[i] is the
-  // start of the i-th maximal run of equal partition keys.
-  std::vector<size_t> groups;
+  // Walk the (sorted) input one maximal run of equal partition keys at
+  // a time.
   size_t begin = 0;
   while (begin < rows_.size()) {
-    groups.push_back(begin);
     size_t end = begin + 1;
     while (end < rows_.size()) {
       bool same = true;
@@ -170,34 +164,10 @@ Status WindowOp::OpenImpl() {
       if (!same) break;
       ++end;
     }
+    RFID_RETURN_IF_ERROR(ComputePartition(begin, end));
     begin = end;
   }
-  groups.push_back(rows_.size());
-  const size_t num_groups = groups.empty() ? 0 : groups.size() - 1;
-
-  if (dop() <= 1 || num_groups < 2) {
-    for (size_t g = 0; g < num_groups; ++g) {
-      RFID_RETURN_IF_ERROR(ComputePartition(groups[g], groups[g + 1]));
-    }
-    return Status::OK();
-  }
-
-  // Partition-parallel: workers claim contiguous ranges of whole groups;
-  // every group's reads and writes stay inside [groups[g], groups[g+1]),
-  // so ranges are disjoint across workers and nothing is reordered.
-  const uint64_t morsel =
-      std::max<uint64_t>(1, num_groups / (static_cast<uint64_t>(dop()) * 8));
-  MorselQueue queue(num_groups, morsel);
-  return ParallelRun(dop(), [this, &queue, &groups](int) -> Status {
-    uint64_t gb = 0, ge = 0, m = 0;
-    while (queue.Claim(&gb, &ge, &m)) {
-      RFID_RETURN_IF_ERROR(TickCancel());
-      for (uint64_t g = gb; g < ge; ++g) {
-        RFID_RETURN_IF_ERROR(ComputePartition(groups[g], groups[g + 1]));
-      }
-    }
-    return Status::OK();
-  });
+  return Status::OK();
 }
 
 Status WindowOp::FillArgCache(size_t a, size_t begin, size_t end,

@@ -36,20 +36,15 @@ struct WindowAggSpec {
   DataType result_type = DataType::kNull;
 };
 
-/// With dop > 1 the operator evaluates PARTITION BY groups
-/// partition-parallel: the sorted input is cut at partition boundaries,
-/// workers claim contiguous ranges of whole groups from a morsel queue,
-/// and each group's frames are computed independently (frames never
-/// cross a partition boundary). Workers write into disjoint row ranges,
-/// so no result reordering happens and output is bit-identical to
-/// serial. This is the hot path of every naive/expanded/join-back
+/// The sorted input is cut at partition boundaries and each group's
+/// frames are computed independently (frames never cross a partition
+/// boundary). This is the hot path of every naive/expanded/join-back
 /// cleansing rewrite, which compile to windows partitioned by tag/EPC.
 class WindowOp : public Operator {
  public:
   /// partition_slots/order key slots index into the child's output row.
   WindowOp(OperatorPtr child, std::vector<size_t> partition_slots,
-           std::vector<SlotSortKey> order_keys, std::vector<WindowAggSpec> aggs,
-           int dop = 1);
+           std::vector<SlotSortKey> order_keys, std::vector<WindowAggSpec> aggs);
 
   std::string name() const override { return "Window"; }
   std::string detail() const override;
@@ -78,8 +73,7 @@ class WindowOp : public Operator {
   std::vector<SlotSortKey> order_keys_;
   std::vector<WindowAggSpec> aggs_;
   // Compiled argument programs (empty when the vectorized engine is
-  // off; nullopt per agg on COUNT(*) or compile fallback). Immutable
-  // after Open, shared by partition workers.
+  // off; nullopt per agg on COUNT(*) or compile fallback).
   std::vector<std::optional<ExprProgram>> arg_progs_;
 
   std::vector<Row> rows_;  // materialized input, extended in place

@@ -188,7 +188,7 @@ size_t BatchCapacity();
 void SetBatchCapacityForTest(size_t n);
 
 /// Whether operators should run their batch-native paths. Compiled out
-/// entirely by RFID_VECTORIZED=OFF (mirrors RFID_PARALLEL); otherwise the
+/// entirely by RFID_VECTORIZED=OFF; otherwise the
 /// RFID_VECTORIZED env var (0/off/false disables) with a test override.
 /// SetVectorizedForTest: -1 restores the env default, 0 forces off, 1 on.
 bool VectorizedEnabled();

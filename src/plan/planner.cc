@@ -201,9 +201,8 @@ class PlannerImpl {
         }
         keys.push_back({static_cast<size_t>(bound->slot), k.ascending});
       }
-      int dop = ChooseDop(result.rows);
-      result.cost += SortCost(result.rows) / dop;
-      result.op = std::make_unique<SortOp>(std::move(result.op), keys, dop);
+      result.cost += SortCost(result.rows);
+      result.op = std::make_unique<SortOp>(std::move(result.op), keys);
       result.ordering = keys;
     }
     if (stmt.limit >= 0) {
@@ -418,17 +417,12 @@ class PlannerImpl {
           ColumnNdv(ViewFor(s.table), sj.column, std::max(1.0, s.node.rows));
       double sel = std::min(1.0, sub.rows / std::max(1.0, probe_ndv));
       double out_rows = s.node.rows * sel;
-      // Join DOP follows the probe side: build/probe work parallelizes,
-      // so its wall-clock cost shrinks by the chosen dop.
-      int dop = ChooseDop(s.node.rows);
-      double cost = s.node.cost + sub.cost +
-                    (sub.rows * kHashBuildRowCost +
-                     s.node.rows * kHashProbeRowCost) /
-                        dop;
+      double cost = s.node.cost + sub.cost + sub.rows * kHashBuildRowCost +
+                    s.node.rows * kHashProbeRowCost;
       std::vector<SlotSortKey> ordering = s.node.ordering;
       s.node.op = std::make_unique<HashJoinOp>(
           std::move(s.node.op), std::move(sub.op), std::vector<size_t>{probe_slot},
-          std::vector<size_t>{0}, JoinType::kLeftSemi, dop);
+          std::vector<size_t>{0}, JoinType::kLeftSemi);
       s.node.rows = out_rows;
       s.node.cost = cost;
       s.node.ordering = std::move(ordering);
@@ -486,17 +480,15 @@ class PlannerImpl {
                     std::max(1.0, build.node.rows));
       double out_rows =
           tree.rows * build.node.rows / std::max(1.0, build_key_ndv);
-      int dop = ChooseDop(tree.rows);
       double cost = tree.cost + build.node.cost +
-                    (build.node.rows * kHashBuildRowCost +
-                     tree.rows * kHashProbeRowCost +
-                     out_rows * kJoinOutputRowCost) /
-                        dop;
+                    build.node.rows * kHashBuildRowCost +
+                    tree.rows * kHashProbeRowCost +
+                    out_rows * kJoinOutputRowCost;
       std::vector<SlotSortKey> ordering = tree.ordering;  // probe order kept
       tree.op = std::make_unique<HashJoinOp>(
           std::move(tree.op), std::move(build.node.op),
           std::vector<size_t>{probe_slot}, std::vector<size_t>{build_slot},
-          JoinType::kInner, dop);
+          JoinType::kInner);
       tree.rows = out_rows;
       tree.cost = cost;
       tree.ordering = std::move(ordering);
@@ -914,10 +906,8 @@ class PlannerImpl {
         order_keys.push_back({static_cast<size_t>(bound->slot), k.ascending});
       }
       if (!OrderingSatisfies(tree->ordering, required)) {
-        int sort_dop = ChooseDop(tree->rows);
-        tree->cost += SortCost(tree->rows) / sort_dop;
-        tree->op =
-            std::make_unique<SortOp>(std::move(tree->op), required, sort_dop);
+        tree->cost += SortCost(tree->rows);
+        tree->op = std::make_unique<SortOp>(std::move(tree->op), required);
         tree->ordering = required;
       }
       // Build the aggregate specs.
@@ -953,13 +943,11 @@ class PlannerImpl {
         replacements[call.get()] = std::move(ref);
         specs.push_back(std::move(ws));
       }
-      int win_dop = ChooseDop(tree->rows);
       tree->cost += tree->rows * kWindowAggRowCost *
-                    static_cast<double>(specs.size()) / win_dop;
+                    static_cast<double>(specs.size());
       std::vector<SlotSortKey> ordering = tree->ordering;
       tree->op = std::make_unique<WindowOp>(std::move(tree->op), partition_slots,
-                                            order_keys, std::move(specs),
-                                            win_dop);
+                                            order_keys, std::move(specs));
       tree->ordering = std::move(ordering);  // window preserves input order
       pending = std::move(rest);
     }

@@ -28,16 +28,12 @@ Status Violation(const char* phase, const Operator& op, const char* invariant,
 }
 
 // The largest dop the planner's ChooseDop could have handed out when this
-// plan was built. Mirrors ChooseDop's gates: compiled-off and fault
-// sweeps pin plans serial; otherwise the policy's max_dop bounds it.
+// plan was built. Mirrors ChooseDop's gates: fault sweeps pin plans
+// serial; otherwise the policy's max_dop bounds it.
 int MaxAllowedDop() {
-#ifdef RFID_PARALLEL_OFF
-  return 1;
-#else
   if (FaultInjectionActive()) return 1;
   ParallelPolicy p = CurrentParallelPolicy();
   return p.max_dop < 1 ? 1 : p.max_dop;
-#endif
 }
 
 // Validates a bound expression against the descriptor of the rows it will

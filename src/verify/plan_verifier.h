@@ -18,7 +18,7 @@
 //                      in-range slots, and comparable types
 //   dop-bounds         per-operator dop= tags lie within the parallel
 //                      policy ChooseDop was allowed to use (dop >= 2
-//                      only on parallel operators, always 1 while fault
+//                      only on the parallel scan, always 1 while fault
 //                      injection pins plans serial)
 //   snapshot-index     an index scan under a pinned TableSnapshot uses
 //                      exactly the snapshot's pinned index (and a live

@@ -1,10 +1,14 @@
-// Parallel execution correctness: parallel plans must be *bit-identical*
-// to serial ones (exact row order and values, not just set-equal) across
-// plain scans/sorts/joins/windows and all three cleansing rewrite
-// strategies; EXPLAIN must surface the planner's serial-vs-parallel
-// decision and per-operator DOP; and guardrails (memory budget, deadline,
-// cancellation) must trip mid-parallel-pipeline exactly as they do
-// serially, releasing all accounted memory on unwind.
+// Parallel execution correctness: plans over a morsel-parallel scan must
+// be *bit-identical* to serial ones (exact row order and values, not just
+// set-equal) under the sorts, joins and windows above the scan and all
+// three cleansing rewrite strategies; EXPLAIN must surface the planner's
+// serial-vs-parallel decision and per-operator DOP (only the scan goes
+// parallel); and guardrails (memory budget, deadline, cancellation) must
+// stop a plan over a parallel scan exactly as they stop a serial one,
+// releasing all accounted memory on unwind. The memory budget trips
+// inside the scan's workers; the deadline and cancel tests arm their
+// trip before execution starts, so it fires at the root's Open guard,
+// before the scan fans out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +25,14 @@
 
 namespace rfid {
 namespace {
+
+// The rest of the EXPLAIN line from the first occurrence of `op`, or ""
+// if it does not occur.
+std::string ExplainLine(const std::string& explain, const std::string& op) {
+  size_t at = explain.find(op);
+  if (at == std::string::npos) return "";
+  return explain.substr(at, explain.find('\n', at) - at);
+}
 
 // Exact, order-sensitive serialization: parallel output must match the
 // serial plan row for row, so no sorting before comparison.
@@ -134,9 +146,6 @@ TEST_F(ParallelExecTest, AllRewriteStrategiesBitIdentical) {
 }
 
 TEST_F(ParallelExecTest, ExplainReportsDecisionAndPerOperatorDop) {
-#ifdef RFID_PARALLEL_OFF
-  GTEST_SKIP() << "built with RFID_PARALLEL=OFF; every plan is serial";
-#endif
   SetParallelPolicyForTest(4, 16);
   QueryResult res = Run(
       "SELECT epc, rtime FROM caseR WHERE biz_loc <> 'none' ORDER BY rtime, "
@@ -145,6 +154,11 @@ TEST_F(ParallelExecTest, ExplainReportsDecisionAndPerOperatorDop) {
   EXPECT_NE(res.explain.find("parallelism: dop="), std::string::npos)
       << res.explain;
   EXPECT_NE(res.explain.find(" dop=4"), std::string::npos) << res.explain;
+  // Only the scan fans out; the sort above it runs serially.
+  std::string scan_line = ExplainLine(res.explain, "ParallelTableScan [");
+  std::string sort_line = ExplainLine(res.explain, "Sort [");
+  EXPECT_NE(scan_line.find(" dop=4 "), std::string::npos) << res.explain;
+  EXPECT_NE(sort_line.find(" dop=1 "), std::string::npos) << res.explain;
 
   // Below the threshold the same query plans serial, and says so.
   SetParallelPolicyForTest(4, 1000000000);

@@ -147,8 +147,8 @@ TEST_F(VectorizedExecTest, AllRewriteStrategiesBitIdentical) {
 }
 
 TEST_F(VectorizedExecTest, ComposesWithMorselParallelism) {
-  // The batch engine and morsel-parallel operators must agree with the
-  // serial row interpreter simultaneously.
+  // The batch engine over the morsel-parallel scan must agree with the
+  // serial row interpreter.
   std::string q1 = Rewrite(workload::Q1(workload::T1ForSelectivity(db_, 0.5)),
                            RewriteStrategy::kExpanded);
   SetVectorizedForTest(0);

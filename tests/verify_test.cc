@@ -235,9 +235,9 @@ TEST_F(VerifyTest, RejectsJoinKeyTypeMismatch) {
 // Class 7: operator dop above what the parallel policy permits.
 TEST_F(VerifyTest, RejectsDopAbovePolicy) {
   SetParallelPolicyForTest(1, 0);
-  auto sort = std::make_unique<SortOp>(
-      Scan(), std::vector<SlotSortKey>{{1, true}}, /*dop=*/4);
-  ExpectViolation(*sort, "dop-bounds");
+  auto scan = std::make_unique<ParallelTableScanOp>(case_r_, "c", nullptr,
+                                                    /*dop=*/4);
+  ExpectViolation(*scan, "dop-bounds");
 }
 
 // Class 8: a ParallelTableScan the planner would never build (dop < 2).
