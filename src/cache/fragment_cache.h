@@ -2,12 +2,12 @@
 // region of the read store, shared across queries and sessions.
 //
 // Deferred cleansing re-derives the same window chains over the same raw
-// reads on every query (BENCH_eager_vs_deferred.json: 16-26 ms of rewrite
-// plus the full cleansing sort per q1). This cache makes deferred
-// cleansing *incremental*: the read table is partitioned into regions —
-// contiguous cluster-key value ranges, so every compiled rule window
-// (which partitions by the rule's ckey) distributes over them — and the
-// cleansed rows of each region are memoized keyed by
+// reads on every query (the rewrite, then the full cleansing sort per
+// q1). This cache makes deferred cleansing *incremental*: the read table
+// is partitioned into regions — contiguous cluster-key value ranges, so
+// every compiled rule window (which partitions by the rule's ckey)
+// distributes over them — and the cleansed rows of each region are
+// memoized keyed by
 //
 //   (table, rule-set fingerprint, region-scheme fingerprint, region id).
 //

@@ -35,13 +35,13 @@ ParallelPolicy DefaultPolicy() {
   return p;
 }
 
-// Test/bench override: max_dop == 0 means "use defaults".
+// Test override: max_dop == 0 means "use defaults".
 std::atomic<int> g_override_max_dop{0};
 std::atomic<uint64_t> g_override_min_rows{0};
 
 // Lazily-started, never-destroyed worker pool. Threads block on the queue
 // condition variable when idle; the pool grows on demand (EnsureThreads)
-// up to kMaxPoolThreads so DOP-sweep benchmarks can oversubscribe a small
+// up to kMaxPoolThreads so DOP-sweep tests can oversubscribe a small
 // host. Leaky-singleton on purpose: reachable from a static, so LSan does
 // not flag it, and no destructor ever races process teardown.
 class WorkerPool {

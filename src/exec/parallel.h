@@ -38,7 +38,7 @@ namespace rfid {
 
 /// Planner policy for parallel execution, resolved once from the
 /// environment (RFID_MAX_DOP) and hardware concurrency; overridable for
-/// tests and DOP-sweep benchmarks.
+/// tests.
 struct ParallelPolicy {
   int max_dop = 1;                  // upper bound on per-operator DOP
   uint64_t min_parallel_rows = 0;   // serial below this estimated row count
@@ -47,8 +47,8 @@ struct ParallelPolicy {
 /// The active policy (env/hardware defaults unless overridden).
 ParallelPolicy CurrentParallelPolicy();
 
-/// Overrides the policy process-wide (benchmark DOP sweeps, tests that
-/// force parallel paths on small data). Pass max_dop = 0 to restore the
+/// Overrides the policy process-wide (DOP sweeps, tests that force
+/// parallel paths on small data). Pass max_dop = 0 to restore the
 /// environment/hardware defaults.
 void SetParallelPolicyForTest(int max_dop, uint64_t min_parallel_rows);
 

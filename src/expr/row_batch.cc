@@ -1,11 +1,7 @@
 #include "expr/row_batch.h"
 
-#include <strings.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 
 namespace rfid {
@@ -206,33 +202,16 @@ namespace {
 constexpr size_t kDefaultBatchSize = 1024;
 constexpr size_t kMaxBatchSize = 65536;
 
-size_t EnvBatchSize() {
-  const char* v = std::getenv("RFID_BATCH_SIZE");
-  if (v == nullptr || *v == '\0') return kDefaultBatchSize;
-  long parsed = atol(v);
-  if (parsed <= 0) return kDefaultBatchSize;
-  return std::min(static_cast<size_t>(parsed), kMaxBatchSize);
-}
-
 std::atomic<size_t> g_override_batch_size{0};
 
-bool EnvVectorized() {
-  const char* v = std::getenv("RFID_VECTORIZED");
-  if (v == nullptr || *v == '\0') return true;
-  return !(strcmp(v, "0") == 0 || strcasecmp(v, "off") == 0 ||
-           strcasecmp(v, "false") == 0);
-}
-
-// -1 = use env default; 0 = forced off; 1 = forced on.
+// -1 = default (on); 0 = forced off; 1 = forced on.
 std::atomic<int> g_override_vectorized{-1};
 
 }  // namespace
 
 size_t BatchCapacity() {
   size_t o = g_override_batch_size.load(std::memory_order_relaxed);
-  if (o > 0) return o;
-  static const size_t env = EnvBatchSize();
-  return env;
+  return o > 0 ? o : kDefaultBatchSize;
 }
 
 void SetBatchCapacityForTest(size_t n) {
@@ -241,14 +220,7 @@ void SetBatchCapacityForTest(size_t n) {
 }
 
 bool VectorizedEnabled() {
-#ifdef RFID_VECTORIZED_OFF
-  return false;
-#else
-  int o = g_override_vectorized.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool env = EnvVectorized();
-  return env;
-#endif
+  return g_override_vectorized.load(std::memory_order_relaxed) != 0;
 }
 
 void SetVectorizedForTest(int mode) {

@@ -1,10 +1,10 @@
 // Columnar batches for the vectorized execution path.
 //
-// A RowBatch carries up to BatchCapacity() rows (default 1024, overridable
-// with RFID_BATCH_SIZE) as one ColumnVector per output field. A
-// ColumnVector stores a DataType tag per entry — kNull doubles as the null
-// bitmap — plus a raw int64 payload lane (BOOL/INT64/TIMESTAMP/INTERVAL
-// directly, DOUBLE via bit_cast) and a lazily-materialized string lane.
+// A RowBatch carries up to BatchCapacity() rows (1024) as one
+// ColumnVector per output field. A ColumnVector stores a DataType tag per
+// entry — kNull doubles as the null bitmap — plus a raw int64 payload
+// lane (BOOL/INT64/TIMESTAMP/INTERVAL directly, DOUBLE via bit_cast) and a
+// lazily-materialized string lane.
 // Tags are per-entry rather than per-column because the engine's
 // expressions are weakly typed at runtime (CASE/COALESCE branches may mix
 // INT64 and DOUBLE), and bit-identical output with the row interpreter is
@@ -182,15 +182,15 @@ class RowBatch {
   size_t capacity_;
 };
 
-/// Batch capacity: RFID_BATCH_SIZE env override, default 1024, clamped to
-/// [1, 65536]. SetBatchCapacityForTest(0) restores the env/default value.
+/// Batch capacity: 1024 rows. SetBatchCapacityForTest overrides it
+/// (clamped to 65536); SetBatchCapacityForTest(0) restores the default.
 size_t BatchCapacity();
 void SetBatchCapacityForTest(size_t n);
 
-/// Whether operators should run their batch-native paths. Compiled out
-/// entirely by RFID_VECTORIZED=OFF; otherwise the
-/// RFID_VECTORIZED env var (0/off/false disables) with a test override.
-/// SetVectorizedForTest: -1 restores the env default, 0 forces off, 1 on.
+/// Whether operators should run their batch-native paths. Always on; the
+/// row-at-a-time interpreter survives as the reference engine the
+/// engine-vs-engine tests compare against. SetVectorizedForTest: -1
+/// restores the default, 0 forces the row engine, 1 forces batches.
 bool VectorizedEnabled();
 void SetVectorizedForTest(int mode);
 

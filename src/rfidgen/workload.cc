@@ -71,10 +71,6 @@ std::vector<std::string> StandardRuleDefinitions(int num_rules) {
   return defs;
 }
 
-std::vector<std::string> StandardRuleNames() {
-  return {"reader", "duplicate", "replacing", "cycle", "missing"};
-}
-
 std::string Q1(int64_t t1_micros) {
   return StrFormat(
       "WITH v1 AS ("

@@ -17,9 +17,6 @@ namespace rfid::workload {
 /// prefix count to enable only the first k rules (k in 1..5).
 std::vector<std::string> StandardRuleDefinitions(int num_rules = 5);
 
-/// Names the rule groups in Table 1 order.
-std::vector<std::string> StandardRuleNames();
-
 /// q1 — dwell analysis: average time between consecutive locations, for
 /// reads with rtime <= t1.
 std::string Q1(int64_t t1_micros);

@@ -2,12 +2,10 @@
 //
 // Deferred cleansing pays a per-query rewrite tax: the rewriter derives
 // expanded conditions, generates candidates, and costs each one with the
-// planner (~5 ms with the five standard rules — a measurable slice of a
-// per-EPC traceability lookup, whose execution is ~30 ms; see
-// BENCH_server_throughput.json). Under repeated traffic that work is
-// identical query over identical catalog over identical statistics, so
-// the server memoizes the *rewrite decision*: the chosen rewritten SQL,
-// strategy, and diagnostics.
+// planner, on every query and before any row is read. Under repeated
+// traffic that work is identical query over identical catalog over
+// identical statistics, so the server memoizes the *rewrite decision*:
+// the chosen rewritten SQL, strategy, and diagnostics.
 //
 // Key: the SQL text plus every session setting that feeds the rewriter
 // (strategy, rewriting on/off, aggressive pushdown) plus the session's

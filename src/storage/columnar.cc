@@ -15,14 +15,7 @@ namespace rfid {
 
 namespace {
 
-bool EnvColumnar() {
-  const char* v = std::getenv("RFID_COLUMNAR");
-  if (v == nullptr || *v == '\0') return true;
-  return !(strcmp(v, "0") == 0 || strcasecmp(v, "off") == 0 ||
-           strcasecmp(v, "false") == 0);
-}
-
-// -1 = use env default; 0 = forced off; 1 = forced on.
+// -1 = default (on); 0 = forced off; 1 = forced on.
 std::atomic<int> g_override_columnar{-1};
 
 std::atomic<uint64_t> g_encoded{0};
@@ -91,14 +84,7 @@ bool BitIdentical(const Value& a, const Value& b) {
 }  // namespace
 
 bool ColumnarEnabled() {
-#ifdef RFID_COLUMNAR_OFF
-  return false;
-#else
-  int o = g_override_columnar.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool env = EnvColumnar();
-  return env;
-#endif
+  return g_override_columnar.load(std::memory_order_relaxed) != 0;
 }
 
 void SetColumnarForTest(int mode) {

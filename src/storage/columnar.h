@@ -48,10 +48,10 @@ namespace rfid {
 
 class Database;
 
-/// Whether tables encode cold segments and scans use them. Compiled out
-/// by RFID_COLUMNAR=OFF; otherwise the RFID_COLUMNAR env var (0/off/
-/// false disables) with a test override. SetColumnarForTest: -1 restores
-/// the env default, 0 forces off, 1 on.
+/// Whether tables encode cold segments and scans use them. Always on; the
+/// row store survives as the reference path the columnar tests compare
+/// against. SetColumnarForTest: -1 restores the default, 0 forces the row
+/// store, 1 forces columnar.
 bool ColumnarEnabled();
 void SetColumnarForTest(int mode);
 

@@ -1,7 +1,7 @@
 // Database persistence: saves/loads every table to a directory as a
-// manifest plus one tab-separated file per table. Used to cache generated
-// benchmark databases, by the rfidsql shell's .save/.load commands, and
-// as the checkpoint image format of the durability subsystem (src/wal).
+// manifest plus one tab-separated file per table. Used by the rfidsql
+// shell's .save/.load commands and as the checkpoint image format of the
+// durability subsystem (src/wal).
 //
 // Format, version 1:
 //   <dir>/MANIFEST        "rfiddb 1" then one table name per line

@@ -356,9 +356,6 @@ TEST_F(ColumnarTest, ComparisonAgainstNullLiteralEmitsNothing) {
 }
 
 TEST_F(ColumnarTest, MutationInvalidatesEncodings) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   auto db = MakeEncodedDb();
   Table* t = db->GetTable("enc");
   ASSERT_GT(t->columnar().encoded_segments(), 0u);
@@ -383,9 +380,6 @@ TEST_F(ColumnarTest, MutationInvalidatesEncodings) {
 // ---------------------------------------------------------------------
 
 TEST_F(ColumnarTest, ZoneMapSkippingSurfacedInExplain) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   auto db = MakeEncodedDb();  // ts is monotonic: 0..12 across 5000 rows
   SetColumnarForTest(1);
   // ts >= 10 excludes both cold segments (rows 0..4095 have ts <= 10;
@@ -417,9 +411,6 @@ TEST_F(ColumnarTest, ZoneMapSkippingSurfacedInExplain) {
 }
 
 TEST_F(ColumnarTest, FaultInjectionDisablesZoneSkipping) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   auto db = MakeEncodedDb();
   SetColumnarForTest(1);
   std::string sql = "SELECT ts FROM enc WHERE ts > TIMESTAMP 10";
@@ -541,11 +532,9 @@ TEST_F(ColumnarQueryTest, BitIdenticalUnderLiveIngest) {
     EXPECT_EQ(on, off) << "epoch " << epoch;
     SetColumnarForTest(1);
   }
-#ifndef RFID_COLUMNAR_OFF
   // Enough epochs landed to cross a segment boundary; the publish hook
   // must have encoded the cold prefix.
   EXPECT_GT(db.GetTable("caseR")->columnar().encoded_segments(), 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -595,9 +584,6 @@ class ColumnarWalTest : public ColumnarTest {
 };
 
 TEST_F(ColumnarWalTest, RecoveryRestoresEncodedSegmentsWithoutReencoding) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   SetColumnarForTest(1);
   Database live;
   // Checkpoint after the final epoch: recovery replays nothing, so every
@@ -632,9 +618,6 @@ TEST_F(ColumnarWalTest, RecoveryRestoresEncodedSegmentsWithoutReencoding) {
 }
 
 TEST_F(ColumnarWalTest, ReplayedEpochsGetEncodedAfterRecovery) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   SetColumnarForTest(1);
   Database live;
   // Checkpoint halfway: the replayed tail crosses segment boundaries, so
@@ -653,9 +636,6 @@ TEST_F(ColumnarWalTest, ReplayedEpochsGetEncodedAfterRecovery) {
 }
 
 TEST_F(ColumnarWalTest, CorruptSidecarDegradesToReencoding) {
-#ifdef RFID_COLUMNAR_OFF
-  GTEST_SKIP() << "built with RFID_COLUMNAR=OFF";
-#endif
   SetColumnarForTest(1);
   Database live;
   ASSERT_NO_FATAL_FAILURE(FeedAndCheckpoint(&live, 6, 6));

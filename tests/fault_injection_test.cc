@@ -203,9 +203,8 @@ TEST_F(FaultInjectionTest, JoinAggregateSweep) {
         RewriteStrategy::kAuto);
 }
 
-// The default sweeps above run whatever engine the build defaults to
-// (vectorized when RFID_VECTORIZED=ON). Pin the row interpreter so its
-// per-row unwind paths stay swept even with batching on by default.
+// The default sweeps above run the default (vectorized) engine. Pin the
+// row interpreter so its per-row unwind paths stay swept too.
 TEST_F(FaultInjectionTest, RowEngineSweepStillCovered) {
   SetVectorizedForTest(0);
   Sweep("row-naive", "SELECT epc, rtime FROM caseR WHERE biz_loc = 'locA'",
@@ -227,9 +226,6 @@ TEST_F(FaultInjectionTest, VectorizedSmallBatchSweep) {
 // and unwind through the same idempotent Close/RAII guards as row-path
 // faults — and those sites must actually exist in a vectorized plan.
 TEST_F(FaultInjectionTest, NextBatchFaultSitesUnwindCleanly) {
-#ifdef RFID_VECTORIZED_OFF
-  GTEST_SKIP() << "built with RFID_VECTORIZED=OFF; no NextBatch sites";
-#endif
   SetVectorizedForTest(1);
   SetBatchCapacityForTest(4);
   const std::string sql = "SELECT epc, rtime FROM caseR WHERE biz_loc = 'locA'";

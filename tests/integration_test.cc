@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 
 #include "common/string_util.h"
+#include "common/time_util.h"
 #include "plan/planner.h"
 #include "rewrite/rewriter.h"
 #include "rfidgen/anomaly.h"
@@ -24,6 +27,42 @@ std::vector<std::string> Canonical(const std::vector<Row>& rows) {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// The bound a context condition puts on a timestamp column, as
+// `column op anchor + offset` (µs). AND keeps the tighter side, OR the
+// looser; comparisons with non-timestamp literals bound nothing.
+struct TimeBound {
+  std::string column;
+  BinaryOp op;
+  int64_t offset;
+};
+
+bool IsUpper(BinaryOp op) { return op == BinaryOp::kLe || op == BinaryOp::kLt; }
+
+std::optional<TimeBound> Pick(const std::optional<TimeBound>& a,
+                              const std::optional<TimeBound>& b, bool looser) {
+  if (!a || !b) return looser ? std::nullopt : (a ? a : b);
+  EXPECT_EQ(a->column, b->column);
+  EXPECT_EQ(a->op, b->op);
+  bool a_wider = IsUpper(a->op) ? a->offset > b->offset : a->offset < b->offset;
+  return a_wider == looser ? a : b;
+}
+
+std::optional<TimeBound> BoundOf(const ExprPtr& e, int64_t anchor) {
+  if (e == nullptr || e->kind != ExprKind::kBinary) return std::nullopt;
+  if (e->op == BinaryOp::kAnd || e->op == BinaryOp::kOr) {
+    return Pick(BoundOf(e->children[0], anchor),
+                BoundOf(e->children[1], anchor), e->op == BinaryOp::kOr);
+  }
+  const ExprPtr& lhs = e->children[0];
+  const ExprPtr& rhs = e->children[1];
+  if (!IsComparisonOp(e->op) || lhs->kind != ExprKind::kColumnRef ||
+      rhs->kind != ExprKind::kLiteral ||
+      rhs->value.type() != DataType::kTimestamp) {
+    return std::nullopt;
+  }
+  return TimeBound{lhs->column, e->op, rhs->value.int64_value() - anchor};
 }
 
 class IntegrationTest : public ::testing::Test {
@@ -147,36 +186,68 @@ TEST_F(IntegrationTest, DirtyAnswersDifferFromCleansed) {
 TEST_F(IntegrationTest, Table1FeasibilityShape) {
   // Expanded conditions per rule for q1 and q2 (Table 1): reader,
   // duplicate, replacing are derivable for both queries; cycle for
-  // neither; missing only for q2.
+  // neither; missing only for q2. Each feasible rule's derived bound is
+  // checked against EXPERIMENTS.md's "derived" column (t1/t2/t3 =
+  // 5/10/20 min; the ±1µs folds a strict inequality at µs granularity).
   DefineRules(5);
-  std::string q1 = workload::Q1(workload::T1ForSelectivity(db_, 0.1));
-  std::string q2 = workload::Q2(workload::T2ForSelectivity(db_, 0.1), "dc2");
+  int64_t t1 = workload::T1ForSelectivity(db_, 0.1);
+  int64_t t2 = workload::T2ForSelectivity(db_, 0.1);
+  std::string q1 = workload::Q1(t1);
+  std::string q2 = workload::Q2(t2, "dc2");
 
-  auto feasibility = [&](const std::string& sql) {
+  struct RuleGroup {
+    bool feasible = true;
+    std::optional<TimeBound> bound;  // union over the group's sub-rules
+    std::string condition;           // rendered, sub-rules joined by " / "
+  };
+  auto table_row = [&](const std::string& sql, int64_t anchor) {
     RewriteInfo info = MustRewrite(sql, RewriteStrategy::kAuto);
-    std::map<std::string, bool> by_rule;
+    std::map<std::string, RuleGroup> by_rule;
     for (const RuleContextInfo& c : info.contexts) {
       // missing_r1/missing_r2 both belong to the "missing" rule group.
-      std::string group = c.rule_name.substr(0, c.rule_name.find("_r"));
-      auto [it, inserted] = by_rule.try_emplace(group, c.feasible);
-      it->second = it->second && c.feasible;
+      std::string name = c.rule_name.substr(0, c.rule_name.find("_r"));
+      auto [it, first] = by_rule.try_emplace(name);
+      RuleGroup& group = it->second;
+      group.feasible = group.feasible && c.feasible;
+      if (!group.feasible) continue;
+      std::optional<TimeBound> bound = BoundOf(c.context_condition, anchor);
+      group.bound = first ? bound : Pick(group.bound, bound, /*looser=*/true);
+      if (!first) group.condition += " / ";
+      group.condition += ExprToSql(c.context_condition);
     }
     return by_rule;
   };
+  auto expect_bound = [](const RuleGroup& group, BinaryOp op,
+                         int64_t offset) {
+    ASSERT_TRUE(group.feasible) << group.condition;
+    ASSERT_TRUE(group.bound.has_value()) << group.condition;
+    EXPECT_EQ(group.bound->column, "rtime") << group.condition;
+    EXPECT_EQ(group.bound->op, op) << group.condition;
+    EXPECT_EQ(group.bound->offset, offset) << group.condition;
+  };
+  constexpr BinaryOp kLe = BinaryOp::kLe;
+  constexpr BinaryOp kGe = BinaryOp::kGe;
 
-  auto q1f = feasibility(q1);
-  EXPECT_TRUE(q1f.at("reader"));
-  EXPECT_TRUE(q1f.at("duplicate"));
-  EXPECT_TRUE(q1f.at("replacing"));
-  EXPECT_FALSE(q1f.at("cycle"));
-  EXPECT_FALSE(q1f.at("missing"));
+  auto q1r = table_row(q1, t1);
+  expect_bound(q1r.at("reader"), kLe, Minutes(10) - 1);
+  expect_bound(q1r.at("duplicate"), kLe, -1);
+  expect_bound(q1r.at("replacing"), kLe, Minutes(20) - 1);
+  EXPECT_FALSE(q1r.at("cycle").feasible);
+  EXPECT_FALSE(q1r.at("missing").feasible);
 
-  auto q2f = feasibility(q2);
-  EXPECT_TRUE(q2f.at("reader"));
-  EXPECT_TRUE(q2f.at("duplicate"));
-  EXPECT_TRUE(q2f.at("replacing"));
-  EXPECT_FALSE(q2f.at("cycle"));
-  EXPECT_TRUE(q2f.at("missing"));
+  auto q2r = table_row(q2, t2);
+  expect_bound(q2r.at("reader"), kGe, 1);
+  expect_bound(q2r.at("duplicate"), kGe, -Minutes(5) + 1);
+  expect_bound(q2r.at("replacing"), kGe, 1);
+  EXPECT_FALSE(q2r.at("cycle").feasible);
+  expect_bound(q2r.at("missing"), kGe, -Minutes(5) + 1);
+
+  // The reader rule's context keeps its reader restriction.
+  for (const auto* row : {&q1r, &q2r}) {
+    EXPECT_NE(row->at("reader").condition.find("reader = 'readerX'"),
+              std::string::npos)
+        << row->at("reader").condition;
+  }
 }
 
 TEST_F(IntegrationTest, MissingRuleCompensatesInQueries) {

@@ -140,8 +140,12 @@ TEST_F(ParallelExecTest, AllRewriteStrategiesBitIdentical) {
   for (RewriteStrategy strategy :
        {RewriteStrategy::kNaive, RewriteStrategy::kExpanded,
         RewriteStrategy::kJoinBack}) {
-    ExpectBitIdentical(Rewrite(q1, strategy), 4);
-    ExpectBitIdentical(Rewrite(q2, strategy), 4);
+    std::string rq1 = Rewrite(q1, strategy);
+    std::string rq2 = Rewrite(q2, strategy);
+    for (int dop : {2, 4, 8}) {
+      ExpectBitIdentical(rq1, dop);
+      ExpectBitIdentical(rq2, dop);
+    }
   }
 }
 

@@ -165,9 +165,6 @@ TEST_F(VectorizedExecTest, ComposesWithMorselParallelism) {
 }
 
 TEST_F(VectorizedExecTest, ExplainReportsBatchSize) {
-#ifdef RFID_VECTORIZED_OFF
-  GTEST_SKIP() << "built with RFID_VECTORIZED=OFF; every plan is row-at-a-time";
-#endif
   SetVectorizedForTest(1);
   SetBatchCapacityForTest(256);
   QueryResult res = Run("SELECT epc, rtime FROM caseR ORDER BY rtime, epc");
