@@ -109,13 +109,15 @@ if [ "$QUICK" -eq 0 ]; then
   # point; ASan+UBSan turns any leak or UB on those unwind paths into a
   # hard failure. Batching is ON by default, so the batch pipelines'
   # unwind paths and the bytecode kernels are swept too. parallel_exec_test
-  # leak-checks the unwind of a guardrail-tripped morsel-parallel scan.
+  # leak-checks the unwind of a guardrail-tripped morsel-parallel scan;
+  # chain_test, rewrite_test and planner_test cover the AST cloning and
+  # rewriting of the per-arm filter pushdown and the semi-join reduction.
   cmake -B build-asan -G Ninja -DRFID_SANITIZE=ON
   cmake --build build-asan --target fault_injection_test guardrails_test \
     exec_test common_test ingest_fault_test expr_golden_test \
     vectorized_exec_test verify_test wal_test wal_recovery_test \
     fragment_cache_test server_test columnar_test sync_test \
-    parallel_exec_test
+    parallel_exec_test chain_test rewrite_test planner_test
   ./build-asan/tests/sync_test
   ./build-asan/tests/verify_test
   ./build-asan/tests/columnar_test
@@ -131,6 +133,9 @@ if [ "$QUICK" -eq 0 ]; then
   ./build-asan/tests/fragment_cache_test
   ./build-asan/tests/server_test
   ./build-asan/tests/parallel_exec_test
+  ./build-asan/tests/chain_test
+  ./build-asan/tests/rewrite_test
+  ./build-asan/tests/planner_test
 
   # UBSan-alone pass (-fno-sanitize-recover=all, no ASan interposition):
   # any undefined behavior in the planner, rewriter, bytecode kernels, or

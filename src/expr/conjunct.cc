@@ -4,17 +4,29 @@
 
 namespace rfid {
 
+namespace {
+
+void SplitOn(const ExprPtr& e, BinaryOp op, std::vector<ExprPtr>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kBinary && e->op == op) {
+    SplitOn(e->children[0], op, out);
+    SplitOn(e->children[1], op, out);
+    return;
+  }
+  out->push_back(e);
+}
+
+}  // namespace
+
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& e) {
   std::vector<ExprPtr> out;
-  if (e == nullptr) return out;
-  if (e->kind == ExprKind::kBinary && e->op == BinaryOp::kAnd) {
-    auto left = SplitConjuncts(e->children[0]);
-    auto right = SplitConjuncts(e->children[1]);
-    out.insert(out.end(), left.begin(), left.end());
-    out.insert(out.end(), right.begin(), right.end());
-    return out;
-  }
-  out.push_back(e);
+  SplitOn(e, BinaryOp::kAnd, &out);
+  return out;
+}
+
+std::vector<ExprPtr> SplitDisjuncts(const ExprPtr& e) {
+  std::vector<ExprPtr> out;
+  SplitOn(e, BinaryOp::kOr, &out);
   return out;
 }
 

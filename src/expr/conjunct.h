@@ -15,6 +15,9 @@ namespace rfid {
 /// Splits e on top-level ANDs. A null expression yields an empty list.
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& e);
 
+/// Splits e on top-level ORs. A null expression yields an empty list.
+std::vector<ExprPtr> SplitDisjuncts(const ExprPtr& e);
+
 /// ANDs the conjuncts together; returns nullptr for an empty list.
 ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts);
 

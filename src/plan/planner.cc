@@ -129,6 +129,23 @@ bool IsAggName(const std::string& f) {
   return f == "count" || f == "sum" || f == "avg" || f == "min" || f == "max";
 }
 
+// Narrows `interval` to the hull [min, max] of a materialized IN set. An
+// empty set, or one holding values not comparable with the column, leaves
+// it unchanged.
+void IntersectValueSetHull(const std::unordered_set<Value, ValueHash>& set,
+                           DataType column_type, ValueInterval* interval) {
+  const Value* lo = nullptr;
+  const Value* hi = nullptr;
+  for (const Value& v : set) {
+    if (!TypesComparable(v.type(), column_type)) return;
+    if (lo == nullptr || v.Compare(*lo) < 0) lo = &v;
+    if (hi == nullptr || v.Compare(*hi) > 0) hi = &v;
+  }
+  if (lo == nullptr) return;
+  interval->IntersectLo(*lo, true);
+  interval->IntersectHi(*hi, true);
+}
+
 class PlannerImpl {
  public:
   explicit PlannerImpl(const Database* db, ExecContext* ctx)
@@ -374,6 +391,22 @@ class PlannerImpl {
         continue;
       }
       residual.push_back(c);
+    }
+
+    // --- semi-join reduction through a narrow join side ---
+    std::vector<std::pair<size_t, ExprPtr>> reductions;
+    auto reduce = [&](size_t s, const std::string& x, size_t t,
+                      const std::string& y) {
+      if (ExprPtr in = SemiJoinReduction(sources, s, x, t, y)) {
+        reductions.emplace_back(s, std::move(in));
+      }
+    };
+    for (const JoinEdge& e : edges) {
+      reduce(e.left_source, e.left_column, e.right_source, e.right_column);
+      reduce(e.right_source, e.right_column, e.left_source, e.left_column);
+    }
+    for (auto& [src, in] : reductions) {
+      sources[src].local_conjuncts.push_back(std::move(in));
     }
 
     // --- build source access paths ---
@@ -729,6 +762,43 @@ class PlannerImpl {
     return copy;
   }
 
+  // A join S.x = T.y where T's local predicates leave at most a handful
+  // of rows implies S.x IN (SELECT y FROM T WHERE <T's predicates>). When
+  // S.x is indexed, returns that conjunct for S: it is materialized at
+  // plan time like any IN-subquery local, and its value range bounds an
+  // index scan of S, so S is not read whole (a per-EPC lookup's pallet
+  // reads, joined to palletR through its one parent row). Null when the
+  // reduction does not apply.
+  ExprPtr SemiJoinReduction(const std::vector<Source>& sources, size_t s_idx,
+                            const std::string& x, size_t t_idx,
+                            const std::string& y) const {
+    constexpr double kNarrowSideRows = 16;
+    const Source& s = sources[s_idx];
+    const Source& t = sources[t_idx];
+    if (s.table == nullptr || t.table == nullptr ||
+        t.local_conjuncts.empty()) {
+      return nullptr;
+    }
+    const TableSnapshot* snap = SnapshotFor(s.table);
+    if ((snap != nullptr ? snap->FindIndex(x) : s.table->GetIndex(x)) ==
+        nullptr) {
+      return nullptr;
+    }
+    const TableSnapshot* t_snap = SnapshotFor(t.table);
+    const double t_rows =
+        (t_snap != nullptr ? static_cast<double>(t_snap->watermark)
+                           : static_cast<double>(t.table->visible_rows())) *
+        EstimateSelectivity(t.local_conjuncts, ViewFor(t.table));
+    if (t_rows > kNarrowSideRows) return nullptr;
+    auto sub = std::make_shared<SelectStatement>();
+    SelectCore core;
+    core.items.push_back({MakeColumnRef(t.ref.alias, y), "", false});
+    core.from.push_back(t.ref);
+    core.where = CombineConjuncts(t.local_conjuncts);
+    sub->cores.push_back(std::move(core));
+    return MakeInSubquery(MakeColumnRef(s.ref.alias, x), std::move(sub));
+  }
+
   Result<size_t> SourceIndex(const std::vector<Source>& sources,
                              std::string_view alias) {
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -759,8 +829,17 @@ class PlannerImpl {
       ValueInterval interval;
       std::vector<size_t> absorbed;
       for (size_t ci = 0; ci < s.local_conjuncts.size(); ++ci) {
+        // A materialized IN set bounds the range by its smallest and
+        // largest value; it stays a filter over the range.
+        const ExprPtr& c = s.local_conjuncts[ci];
+        if (c->kind == ExprKind::kInValueSet &&
+            c->children[0]->kind == ExprKind::kColumnRef &&
+            EqualsIgnoreCase(c->children[0]->column, col.name)) {
+          IntersectValueSetHull(*c->value_set, col.type, &interval);
+          continue;
+        }
         ColumnLiteralCmp m;
-        if (!MatchColumnLiteralCmp(s.local_conjuncts[ci], &m)) continue;
+        if (!MatchColumnLiteralCmp(c, &m)) continue;
         if (!EqualsIgnoreCase(m.column->column, col.name)) continue;
         if (m.op == BinaryOp::kNe) continue;
         if (!TypesComparable(m.literal.type(), col.type)) continue;

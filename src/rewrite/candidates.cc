@@ -1,6 +1,6 @@
 #include "rewrite/candidates.h"
 
-#include "common/string_util.h"
+#include "expr/conjunct.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 
@@ -30,60 +30,50 @@ Result<std::string> AssembleRewrite(const SelectStatement& original,
   }
   std::vector<WithClause> clauses;
 
-  std::string input_filter_sql =
-      spec.input_condition == nullptr ? "" : RenderExpr(spec.input_condition);
-
   // Join-back preamble: the distinct cluster keys of the (derived or raw)
   // input that satisfy the query condition.
   const std::string& ckey = rules.front()->ckey;
-  std::string keys_predicate;
+  ExprPtr keys_predicate;  // ckey IN (SELECT ckey FROM __jb_keys)
   if (spec.join_back) {
     std::string keys_source = table;
+    ExprPtr keys_where = spec.keys_condition;
     for (const CleansingRule* rule : rules) {
       if (rule->HasDerivedInput()) {
         // Conditions apply to both the reads table and the compensation
-        // data (Section 6.3), so keys come from the derived input itself.
-        RFID_ASSIGN_OR_RETURN(
-            WithClause src,
-            MakeWith(kKeysSourceName, StatementToSql(*rule->from_select)));
-        clauses.push_back(std::move(src));
+        // data (Section 6.3), so keys come from the derived input itself,
+        // restricted inside each arm of its union.
+        StatementPtr src = CloneStatement(rule->from_select);
+        if (PushFilterIntoCores(src.get(), keys_where)) keys_where = nullptr;
+        clauses.push_back({kKeysSourceName, std::move(src)});
         keys_source = kKeysSourceName;
         break;
       }
     }
     std::string body = "SELECT DISTINCT " + ckey + " FROM " + keys_source;
-    if (spec.keys_condition != nullptr) {
-      body += " WHERE " + RenderExpr(spec.keys_condition);
-    }
+    if (keys_where != nullptr) body += " WHERE " + RenderExpr(keys_where);
     RFID_ASSIGN_OR_RETURN(WithClause keys, MakeWith(kKeysName, body));
     clauses.push_back(std::move(keys));
-    keys_predicate =
-        ckey + " IN (SELECT " + ckey + " FROM " + std::string(kKeysName) + ")";
+    RFID_ASSIGN_OR_RETURN(
+        StatementPtr keys_query,
+        ParseSql("SELECT " + ckey + " FROM " + std::string(kKeysName)));
+    keys_predicate = MakeInSubquery(MakeColumnRef("", ckey), keys_query);
   }
 
-  // Restricted input over the raw reads table.
+  // Restricted input over the raw reads table; derived rule inputs get the
+  // same restriction inside each arm of their union.
+  const ExprPtr restriction =
+      CombineConjuncts({keys_predicate, spec.input_condition});
   {
     std::string body = "SELECT * FROM " + table;
-    std::vector<std::string> preds;
-    if (spec.join_back) preds.push_back(keys_predicate);
-    if (!input_filter_sql.empty()) preds.push_back("(" + input_filter_sql + ")");
-    if (!preds.empty()) body += " WHERE " + Join(preds, " AND ");
+    if (restriction != nullptr) body += " WHERE " + RenderExpr(restriction);
     RFID_ASSIGN_OR_RETURN(WithClause input, MakeWith(kInputName, body));
     clauses.push_back(std::move(input));
   }
 
-  // The cleansing chain. Derived rule inputs get the same restriction
-  // re-applied after their union.
-  std::string derived_filter;
-  if (spec.join_back) derived_filter = keys_predicate;
-  if (!input_filter_sql.empty()) {
-    if (!derived_filter.empty()) derived_filter += " AND ";
-    derived_filter += "(" + input_filter_sql + ")";
-  }
   RFID_ASSIGN_OR_RETURN(
       CleansingChain chain,
       BuildCleansingChain(rules, db, kInputName, base->schema().columns(),
-                          derived_filter));
+                          restriction));
   for (const auto& [name, body] : chain.with_clauses) {
     RFID_ASSIGN_OR_RETURN(WithClause clause, MakeWith(name, body));
     clauses.push_back(std::move(clause));

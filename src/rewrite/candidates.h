@@ -13,8 +13,8 @@ namespace rfid {
 struct CandidateSpec {
   std::string label;
   RewriteStrategy strategy = RewriteStrategy::kNaive;
-  // Condition pushed onto the raw reads table (and onto a derived rule
-  // input after its union); nullptr = none. Columns unqualified.
+  // Condition pushed onto the raw reads table (and into each arm of a
+  // derived rule input's union); nullptr = none. Columns unqualified.
   ExprPtr input_condition;
   // Join-back: when set, the input is semi-joined to the distinct cluster
   // keys of the keys source filtered by this condition.

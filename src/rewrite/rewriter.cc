@@ -333,7 +333,10 @@ Result<RewriteInfo> QueryRewriter::Rewrite(std::string_view sql,
     }
   }
   bool expanded_feasible = true;
-  std::vector<ExprPtr> rule_ccs;
+  // Every rule's context disjuncts, flattened so SimplifyDisjuncts can drop
+  // the ones that repeat (a lookup's `epc = X` is derived once per context
+  // reference of every rule).
+  std::vector<ExprPtr> cc_disjuncts;
   for (const CleansingRule* rule : rules) {
     RFID_ASSIGN_OR_RETURN(std::vector<Column> raw_cols,
                           RuleInputColumns(*rule, *db_));
@@ -357,7 +360,7 @@ Result<RewriteInfo> QueryRewriter::Rewrite(std::string_view sql,
     }
     rule_info.context_condition = rule_cc;
     if (!rule_info.feasible) expanded_feasible = false;
-    if (rule_cc != nullptr) rule_ccs.push_back(rule_cc);
+    for (const ExprPtr& d : SplitDisjuncts(rule_cc)) cc_disjuncts.push_back(d);
     info.contexts.push_back(std::move(rule_info));
   }
 
@@ -366,7 +369,7 @@ Result<RewriteInfo> QueryRewriter::Rewrite(std::string_view sql,
   if (expanded_feasible && s_all != nullptr) {
     std::vector<ExprPtr> disjuncts;
     disjuncts.push_back(s_all);
-    for (const ExprPtr& cc : rule_ccs) disjuncts.push_back(cc);
+    disjuncts.insert(disjuncts.end(), cc_disjuncts.begin(), cc_disjuncts.end());
     disjuncts = SimplifyDisjuncts(std::move(disjuncts));
     info.expanded_condition = CombineDisjuncts(disjuncts);
     info.relaxed_condition = RelaxToSkeyInterval(disjuncts, rules.front()->skey);
@@ -422,7 +425,8 @@ Result<RewriteInfo> QueryRewriter::Rewrite(std::string_view sql,
       if (s_comb != nullptr) {
         std::vector<ExprPtr> disjuncts;
         disjuncts.push_back(s_comb);
-        for (const ExprPtr& cc : rule_ccs) disjuncts.push_back(cc);
+        disjuncts.insert(disjuncts.end(), cc_disjuncts.begin(),
+                         cc_disjuncts.end());
         disjuncts = SimplifyDisjuncts(std::move(disjuncts));
         ec = CombineDisjuncts(disjuncts);
       }

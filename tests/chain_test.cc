@@ -1,5 +1,6 @@
 // Unit tests for the cleansing-chain builder: WITH-clause structure,
-// derived-input substitution and filtering, table-reference replacement.
+// derived-input substitution, filter pushdown into each arm of a derived
+// input, table-reference replacement.
 #include <gtest/gtest.h>
 
 #include "cleansing/chain.h"
@@ -101,23 +102,88 @@ TEST_F(ChainTest, DerivedInputSubstitutesOnTable) {
   EXPECT_TRUE(has_flag);
 }
 
-TEST_F(ChainTest, DerivedFilterAppliedAfterUnion) {
+TEST_F(ChainTest, DerivedFilterPushedIntoEachArm) {
   CleansingRule missing = Rule(
       "DEFINE m ON caseR "
-      "FROM (select epc, rtime, reader, biz_loc, 0 as is_pallet from caseR) "
+      "FROM (select epc, rtime, reader, biz_loc, 0 as is_pallet from caseR "
+      "      union all "
+      "      select parent.child_epc as epc, palletR.rtime, palletR.reader, "
+      "             palletR.biz_loc, 1 as is_pallet "
+      "      from palletR, parent where palletR.epc = parent.parent_epc) "
       "CLUSTER BY epc SEQUENCE BY rtime AS (A, *B) "
       "WHERE A.is_pallet = 0 OR B.is_pallet = 1 ACTION KEEP A");
-  auto chain =
-      BuildCleansingChain({&missing}, db_, "__in", case_r_->schema().columns(),
-                          "rtime >= TIMESTAMP 42");
+  auto filter = ParseExpression(
+      "epc = 'e1' AND rtime >= TIMESTAMP 42 AND is_pallet = 1 AND "
+      "epc IN (SELECT epc FROM __keys)");
+  ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+  auto chain = BuildCleansingChain({&missing}, db_, "__in",
+                                   case_r_->schema().columns(), *filter);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-  // __rin0 then __rinf0 (the filter stage) then the rule stages.
-  ASSERT_GE(chain->with_clauses.size(), 4u);
+  // No filter stage after the union: the rule's first stage reads __rin0.
+  ASSERT_GE(chain->with_clauses.size(), 3u);
+  EXPECT_EQ(chain->with_clauses[0].first, "__rin0");
+  EXPECT_NE(chain->with_clauses[1].second.find("FROM __rin0"),
+            std::string::npos);
+  for (const auto& clause : chain->with_clauses) {
+    EXPECT_EQ(clause.first.find("__rinf"), std::string::npos) << clause.first;
+  }
+  // Each arm carries the filter with its own projected expressions; the
+  // IN-subquery is kept intact.
+  const std::string& derived = chain->with_clauses[0].second;
+  EXPECT_NE(derived.find("FROM __in caseR WHERE epc = 'e1' AND rtime >= "
+                         "TIMESTAMP 42 AND 0 = 1 AND epc IN (SELECT epc "
+                         "FROM __keys)"),
+            std::string::npos)
+      << derived;
+  EXPECT_NE(derived.find("WHERE palletR.epc = parent.parent_epc AND "
+                         "parent.child_epc = 'e1' AND palletR.rtime >= "
+                         "TIMESTAMP 42 AND 1 = 1 AND parent.child_epc IN "
+                         "(SELECT epc FROM __keys)"),
+            std::string::npos)
+      << derived;
+}
+
+TEST_F(ChainTest, DerivedFilterAfterUnionWhenArmsCannotTakeIt) {
+  // A `*` arm has no per-column expression to substitute, so the filter
+  // is applied to the union's output instead.
+  CleansingRule missing = Rule(
+      "DEFINE m ON caseR FROM (select * from caseR) "
+      "CLUSTER BY epc SEQUENCE BY rtime AS (A, B) "
+      "WHERE A.biz_loc = B.biz_loc ACTION DELETE B");
+  auto filter = ParseExpression("rtime >= TIMESTAMP 42");
+  ASSERT_TRUE(filter.ok());
+  auto chain = BuildCleansingChain({&missing}, db_, "__in",
+                                   case_r_->schema().columns(), *filter);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_GE(chain->with_clauses.size(), 3u);
+  EXPECT_EQ(chain->with_clauses[0].second, "SELECT * FROM __in caseR");
   EXPECT_EQ(chain->with_clauses[1].first, "__rinf0");
   EXPECT_NE(chain->with_clauses[1].second.find("WHERE rtime >= TIMESTAMP 42"),
             std::string::npos);
   EXPECT_NE(chain->with_clauses[2].second.find("FROM __rinf0"),
             std::string::npos);
+}
+
+TEST_F(ChainTest, PushFilterRefusesRowsItCannotFilter) {
+  auto filter = ParseExpression("epc = 'e1'").value();
+  for (const char* sql :
+       {"SELECT epc, max(rtime) AS rtime FROM caseR GROUP BY epc",
+        "SELECT epc, rtime FROM caseR LIMIT 3",
+        "SELECT reader, rtime FROM caseR",  // no output column named epc
+        "SELECT epc, max(rtime) OVER (PARTITION BY epc) AS rtime FROM caseR"}) {
+    StatementPtr stmt = ParseSql(sql).value();
+    const std::string before = StatementToSql(*stmt);
+    EXPECT_FALSE(PushFilterIntoCores(stmt.get(), filter)) << sql;
+    EXPECT_EQ(StatementToSql(*stmt), before);
+  }
+  StatementPtr ok =
+      ParseSql("SELECT DISTINCT epc AS epc FROM caseR WHERE rtime > "
+               "TIMESTAMP 1")
+          .value();
+  EXPECT_TRUE(PushFilterIntoCores(ok.get(), filter));
+  EXPECT_EQ(StatementToSql(*ok),
+            "SELECT DISTINCT epc AS epc FROM caseR WHERE rtime > TIMESTAMP 1 "
+            "AND epc = 'e1'");
 }
 
 TEST_F(ChainTest, ReplaceTableRefsKeepsAliasAndHitsSubqueries) {

@@ -14,6 +14,7 @@
 #include "rewrite/rewriter.h"
 #include "rfidgen/anomaly.h"
 #include "rfidgen/workload.h"
+#include "server/admission.h"
 
 namespace rfid {
 namespace {
@@ -269,6 +270,157 @@ TEST_F(IntegrationTest, MissingRuleCompensatesInQueries) {
                     anomaly_stats_.cycles;
   EXPECT_EQ(clean.rows[0][0].int64_value(),
             dirty.rows[0][0].int64_value() - removed + anomaly_stats_.missing);
+}
+
+std::string LookupSql(const std::string& epc) {
+  return "SELECT rtime, biz_loc, reader FROM caseR WHERE epc = '" + epc +
+         "' ORDER BY rtime";
+}
+
+// `count` EPCs spread evenly over the table's distinct EPCs.
+std::vector<std::string> SomeEpcs(const Database& db, size_t count) {
+  auto res = ExecuteSql(db, "SELECT DISTINCT epc FROM caseR");
+  EXPECT_TRUE(res.ok()) << res.status().ToString();
+  std::vector<std::string> all;
+  if (res.ok()) {
+    for (const Row& r : res->rows) all.push_back(r[0].string_value());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::string> out;
+  for (size_t i = 0; i < count && !all.empty(); ++i) {
+    out.push_back(all[i * all.size() / count]);
+  }
+  return out;
+}
+
+// Rows reported by every EXPLAIN line mentioning `table`'s columns or
+// scans, so a check can bound each operator of a derived input's arm.
+std::vector<std::pair<std::string, int64_t>> OperatorRows(
+    const std::string& explain, const std::string& table) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  size_t start = 0;
+  while (start < explain.size()) {
+    size_t end = explain.find('\n', start);
+    if (end == std::string::npos) end = explain.size();
+    std::string line = explain.substr(start, end - start);
+    size_t rows = line.find(" rows=");
+    if (line.find(table) != std::string::npos && rows != std::string::npos) {
+      out.emplace_back(line, std::stoll(line.substr(rows + 6)));
+    }
+    start = end + 1;
+  }
+  return out;
+}
+
+TEST_F(IntegrationTest, NineTemplatesAndLookupsMatchNaiveUnderFiveRules) {
+  // The differential check of the per-object rewrite: q1, q2 and q2' at
+  // 1, 10 and 40% and twenty EPC lookups, each under expanded and
+  // join-back, answer exactly what naive cleansing answers.
+  DefineRules(5);
+  std::vector<std::pair<std::string, bool>> queries;  // sql, expanded feasible
+  for (double frac : {0.01, 0.10, 0.40}) {
+    queries.emplace_back(workload::Q1(workload::T1ForSelectivity(db_, frac)),
+                         false);
+    queries.emplace_back(
+        workload::Q2(workload::T2ForSelectivity(db_, frac), "dc2"), false);
+    queries.emplace_back(
+        workload::Q2Prime(workload::T2ForSelectivity(db_, frac), 3), false);
+  }
+  for (const std::string& epc : SomeEpcs(db_, 20)) {
+    queries.emplace_back(LookupSql(epc), true);
+  }
+  ASSERT_EQ(queries.size(), 29u);
+  for (const auto& [sql, expanded_feasible] : queries) {
+    SCOPED_TRACE(sql);
+    ExpectAllStrategiesAgree(sql, expanded_feasible);
+  }
+}
+
+TEST_F(IntegrationTest, LookupPlanReadsOnlyTheObjectsRows) {
+  // A lookup reads its EPC through the epc index, and the missing rule's
+  // pallet arm never holds more rows than the EPC's own pallet reads.
+  DefineRules(5);
+  for (const std::string& epc : SomeEpcs(db_, 3)) {
+    SCOPED_TRACE(epc);
+    QueryResult own = Run(
+        "SELECT count(*) FROM palletR, parent WHERE palletR.epc = "
+        "parent.parent_epc AND parent.child_epc = '" + epc + "'");
+    ASSERT_EQ(own.rows.size(), 1u);
+    const int64_t own_pallet_reads = own.rows[0][0].int64_value();
+    for (RewriteStrategy strategy :
+         {RewriteStrategy::kExpanded, RewriteStrategy::kJoinBack}) {
+      RewriteInfo info = MustRewrite(LookupSql(epc), strategy);
+      QueryResult res = Run(info.sql);
+      EXPECT_NE(res.explain.find("IndexRangeScan [caseR ON epc"),
+                std::string::npos)
+          << res.explain;
+      auto arm = OperatorRows(res.explain, "palletR");
+      EXPECT_FALSE(arm.empty()) << res.explain;
+      for (const auto& [line, rows] : arm) {
+        EXPECT_LE(rows, own_pallet_reads) << line;
+      }
+    }
+  }
+}
+
+// Per-object scaling: the same five-rule lookup on a table ten times
+// larger still succeeds under the server's per-query budget and needs
+// about the same memory, because it reads only the EPC's rows.
+TEST(PerObjectScalingTest, LookupPeakMemoryFlatFrom40To400Pallets) {
+  uint64_t peak[2] = {0, 0};
+  const int64_t pallets[2] = {40, 400};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(pallets[i]);
+    Database db;
+    rfidgen::GeneratorOptions gen;
+    gen.num_pallets = pallets[i];
+    gen.min_cases_per_pallet = 3;
+    gen.max_cases_per_pallet = 6;
+    gen.reads_per_site = 5;
+    gen.num_stores = 30;
+    gen.num_warehouses = 10;
+    gen.num_dcs = 5;
+    gen.locations_per_site = 10;
+    ASSERT_TRUE(rfidgen::Generate(gen, &db).ok());
+    rfidgen::AnomalyOptions anomalies;
+    anomalies.dirty_fraction = 0.10;
+    ASSERT_TRUE(rfidgen::InjectAnomalies(anomalies, &db).ok());
+    CleansingRuleEngine engine(&db);
+    for (const std::string& def : workload::StandardRuleDefinitions(5)) {
+      ASSERT_TRUE(engine.DefineRule(def).ok()) << def;
+    }
+    QueryRewriter rewriter(&db, &engine);
+    const std::string sql = LookupSql(SomeEpcs(db, 2)[1]);
+
+    RewriteOptions naive_opts;
+    naive_opts.strategy = RewriteStrategy::kNaive;
+    auto naive = rewriter.Rewrite(sql, naive_opts);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    auto truth = ExecuteSql(db, naive->sql);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    ASSERT_FALSE(truth->rows.empty());
+
+    for (RewriteStrategy strategy :
+         {RewriteStrategy::kExpanded, RewriteStrategy::kJoinBack}) {
+      ExecLimits limits;
+      limits.memory_budget_bytes = server::AdmissionOptions{}.per_query_bytes;
+      ExecContext ctx(limits);
+      RewriteOptions opts;
+      opts.strategy = strategy;
+      opts.exec_context = &ctx;
+      auto info = rewriter.Rewrite(sql, opts);
+      ASSERT_TRUE(info.ok()) << info.status().ToString();
+      auto res = ExecuteSql(db, info->sql, &ctx);
+      ASSERT_TRUE(res.ok()) << RewriteStrategyName(strategy) << ": "
+                            << res.status().ToString();
+      EXPECT_EQ(Canonical(res->rows), Canonical(truth->rows))
+          << RewriteStrategyName(strategy);
+      peak[i] = std::max(peak[i], res->peak_memory_bytes);
+    }
+  }
+  EXPECT_GT(peak[0], 0u);
+  EXPECT_LE(peak[1], 2 * peak[0]) << "40 pallets: " << peak[0]
+                                  << " B, 400 pallets: " << peak[1] << " B";
 }
 
 }  // namespace

@@ -127,6 +127,36 @@ TEST_F(PlannerTest, InSubqueryBecomesSemiJoin) {
   EXPECT_NE(res.explain.find("HashSemiJoin"), std::string::npos) << res.explain;
 }
 
+TEST_F(PlannerTest, NarrowJoinSideRestrictsIndexedColumn) {
+  // owner(child, epc): an index narrows owner to a row or two, so caseR is
+  // read through its epc index over owner's epc values, not whole.
+  Schema schema;
+  schema.AddColumn("child", DataType::kString);
+  schema.AddColumn("epc", DataType::kString);
+  Table* owner = db_.CreateTable("owner", schema).value();
+  const std::vector<std::pair<const char*, const char*>> rows = {
+      {"c1", "e1"}, {"c2", "e2"}, {"c3", "e1"}, {"c3", "e2"}};
+  for (const auto& [child, epc] : rows) {
+    ASSERT_TRUE(owner->Append({Value::String(child), Value::String(epc)}).ok());
+  }
+  ASSERT_TRUE(owner->BuildIndex("child").ok());
+  owner->ComputeStats();
+  auto run = [&](const std::string& child) {
+    return MustRun(
+        "SELECT caseR.rtime FROM caseR, owner WHERE caseR.epc = owner.epc "
+        "AND owner.child = '" + child + "'");
+  };
+  QueryResult one = run("c2");
+  EXPECT_EQ(one.rows.size(), 2u);
+  EXPECT_NE(one.explain.find("IndexRangeScan [caseR ON epc >= e2 <= e2]"),
+            std::string::npos)
+      << one.explain;
+  // Two owner rows: the range spans both values and the set filters it.
+  EXPECT_EQ(run("c3").rows.size(), 5u);
+  // No owner row: nothing joins, whatever access path was taken.
+  EXPECT_EQ(run("c9").rows.size(), 0u);
+}
+
 TEST_F(PlannerTest, UnionAll) {
   QueryResult res = MustRun(
       "select epc from caseR where epc = 'e1' "

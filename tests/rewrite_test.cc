@@ -11,6 +11,8 @@
 #include "rewrite/correlation.h"
 #include "rewrite/rewriter.h"
 #include "rewrite/transitivity.h"
+#include "rfidgen/rfidgen.h"
+#include "rfidgen/workload.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 
@@ -412,6 +414,41 @@ TEST_F(RewriteTest, EqualityPropagationThroughCkey) {
   ASSERT_EQ(info.contexts.size(), 1u);
   std::string cc = RenderExpr(info.contexts[0].context_condition);
   EXPECT_NE(cc.find("epc = 'e7'"), std::string::npos) << cc;
+}
+
+TEST(RewriteFiveRulesTest, LookupExpandedConditionIsTheLookupItself) {
+  // Every context reference of every rule derives the lookup's own
+  // `epc = X`; the repeats collapse, so the cleansing input is restricted
+  // by exactly the one index-usable equality.
+  Database db;
+  rfidgen::GeneratorOptions gen;
+  gen.num_pallets = 2;
+  ASSERT_TRUE(rfidgen::Generate(gen, &db).ok());
+  CleansingRuleEngine engine(&db);
+  for (const std::string& def : workload::StandardRuleDefinitions(5)) {
+    ASSERT_TRUE(engine.DefineRule(def).ok()) << def;
+  }
+  const std::string epc = "urn:epc:cas:000000000001";
+  RewriteOptions opts;
+  opts.strategy = RewriteStrategy::kExpanded;
+  auto info = QueryRewriter(&db, &engine)
+                  .Rewrite("SELECT rtime, biz_loc, reader FROM caseR WHERE "
+                           "epc = '" + epc + "' ORDER BY rtime",
+                           opts);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(RenderExpr(info->expanded_condition), "epc = '" + epc + "'");
+  EXPECT_NE(info->sql.find("__cl_input AS (SELECT * FROM caseR WHERE epc = '" +
+                           epc + "')"),
+            std::string::npos)
+      << info->sql;
+  // The per-rule diagnostics still show each rule's own context condition.
+  ASSERT_EQ(info->contexts.size(), 6u);
+  for (const RuleContextInfo& c : info->contexts) {
+    EXPECT_TRUE(c.feasible) << c.rule_name;
+    EXPECT_NE(RenderExpr(c.context_condition).find("epc = '" + epc + "'"),
+              std::string::npos)
+        << c.rule_name;
+  }
 }
 
 }  // namespace

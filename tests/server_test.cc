@@ -570,14 +570,20 @@ TEST_F(ServerTest, GracefulShutdownDrainsAndRefuses) {
   // Occupy the server with an in-flight command, then shut down under
   // load: the drain must wait for it, refuse new connections with a
   // clean ERROR frame, and fail queued admissions with kCancelled.
-  std::atomic<bool> hold_done{false};
+  Status hold_status = Status::Internal("hold never replied");
   std::thread hold_thread([&] {
-    auto res = busy->Command(".debug_hold 700");
-    EXPECT_TRUE(res.ok()) << res.status().ToString();
-    hold_done.store(true);
+    hold_status = busy->Command(".debug_hold 700").status();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  std::thread shutdown_thread([&] { server_->Shutdown(); });
+  // The hold owns the only admission slot before the shutdown starts.
+  for (int i = 0; i < 400 && server_->admission_stats().running == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server_->admission_stats().running, 1);
+  int running_after_shutdown = -1;
+  std::thread shutdown_thread([&] {
+    server_->Shutdown();
+    running_after_shutdown = server_->admission_stats().running;
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
   // The drain is still waiting on the held slot: a new connection gets
@@ -588,8 +594,12 @@ TEST_F(ServerTest, GracefulShutdownDrainsAndRefuses) {
   EXPECT_NE(late.status().message().find("shutting down"), std::string::npos);
 
   shutdown_thread.join();
-  EXPECT_TRUE(hold_done.load());  // in-flight work completed, not dropped
+  // Shutdown() returned only after the held command's server-side end:
+  // the hold had already released its slot.
+  EXPECT_EQ(running_after_shutdown, 0);
   hold_thread.join();
+  // In-flight work completed with its reply delivered, not dropped.
+  EXPECT_TRUE(hold_status.ok()) << hold_status.ToString();
   EXPECT_TRUE(server_->final_flush_status().ok());
 }
 
